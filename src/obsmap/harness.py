@@ -389,22 +389,39 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
     return AnchorSet(tuple(chosen))
 
 
-def _codes_for(
-    g: Graph,
-    basis: SpectralBasis | None,
-    m_eff: int,
-    scaled: bool,
-    quantizer: str,
-    eta: float,
-) -> QuantizedCodes:
-    if m_eff == 0:
-        emb = empty_embedding(g.n, scaled)
-    else:
-        assert basis is not None
-        emb = energy_embedding(basis, m_eff, scaled)
-    if quantizer == "absolute":
-        return quantize_absolute(emb, eta)
-    return quantize_relative(emb, eta)
+class _GraphCodes:
+    """Quantized codes of one graph, each (m, eta, quantizer, scaled) built
+    once, every m cut from a single eigensolve at m_max, the largest m the
+    caller needs. The solve runs on first use, so m=0 work never pays it."""
+
+    def __init__(self, g: Graph, m_max: int) -> None:
+        self.g = g
+        self.m_max = m_max
+        self._basis: SpectralBasis | None = None
+        self._codes: dict[tuple, tuple[QuantizedCodes, bool]] = {}
+
+    def get(
+        self, m: int, eta: float, quantizer: str, scaled: bool
+    ) -> tuple[QuantizedCodes, bool]:
+        """Codes for one spectral configuration and their degeneracy flag."""
+        key = (m, eta, quantizer, scaled)
+        if key not in self._codes:
+            if m == 0:
+                emb = empty_embedding(self.g.n, scaled)
+                degenerate = False
+            else:
+                if self._basis is None:
+                    lap = normalized_laplacian(self.g)
+                    self._basis = low_frequency_basis(lap, self.m_max)
+                basis = self._basis.leading(m)
+                emb = energy_embedding(basis, m, scaled)
+                degenerate = basis.degeneracy_flag
+            if quantizer == "absolute":
+                codes = quantize_absolute(emb, eta)
+            else:
+                codes = quantize_relative(emb, eta)
+            self._codes[key] = (codes, degenerate)
+        return self._codes[key]
 
 
 def evaluate_instance(
@@ -413,11 +430,13 @@ def evaluate_instance(
     """Observation table statistics, bucket diagnostics, and bounds for one
     fully specified instance."""
     table = build_observation(g, anchors, codes)
+    diagnostics = bucket_diagnostics(table)
+    codebook = codebook_size(codes)
     return InstanceReport(
         stats=fiber_stats(table),
-        diagnostics=bucket_diagnostics(table),
-        bounds=bound_report(table, codes),
-        codebook=codebook_size(codes),
+        diagnostics=diagnostics,
+        bounds=bound_report(table, codes, diagnostics=diagnostics, codebook=codebook),
+        codebook=codebook,
         degenerate=degenerate,
     )
 
@@ -480,18 +499,18 @@ def _instance_record(
     point: ConfigPoint,
     g: Graph,
     graph_seed: int,
-    basis_for: Callable[[int], SpectralBasis],
+    graph_codes: _GraphCodes,
 ) -> TrialRecord:
     start = time.perf_counter()
     k_eff, m_eff = point.effective_dims()
-    basis = basis_for(m_eff) if m_eff > 0 else None
-    codes = _codes_for(g, basis, m_eff, point.scaled, point.quantizer, point.eta_float)
+    codes, degenerate = graph_codes.get(
+        m_eff, point.eta_float, point.quantizer, point.scaled
+    )
     if k_eff > 0:
         aseed = anchor_seed_for(graph_seed, point.k, point.anchor_strategy, point.resample)
         anchors = select_anchors(g, k_eff, point.anchor_strategy, aseed)
     else:
         anchors = AnchorSet(())
-    degenerate = basis.degeneracy_flag if basis is not None else False
     report = evaluate_instance(g, anchors, codes, degenerate=degenerate)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return _record_from_report(_point_identity(point), graph_seed, report, wall_ms)
@@ -515,14 +534,8 @@ def run_trial(point: ConfigPoint, master_seed: int) -> TrialRecord:
     try:
         gseed = graph_seed_for(master_seed, point.n, point.r, point.trial)
         g = random_regular(point.n, point.r, gseed)
-        cache: dict[int, SpectralBasis] = {}
-
-        def basis_for(m_eff: int) -> SpectralBasis:
-            if m_eff not in cache:
-                cache[m_eff] = low_frequency_basis(normalized_laplacian(g), m_eff)
-            return cache[m_eff]
-
-        return _instance_record(point, g, gseed, basis_for)
+        graph_codes = _GraphCodes(g, point.effective_dims()[1])
+        return _instance_record(point, g, gseed, graph_codes)
     except Exception as exc:
         message = f"{_point_label(point)}: {exc}"
         try:
@@ -565,9 +578,7 @@ def analyze_records(
     if anchor_strategy not in STRATEGIES:
         raise ValueError(f"unknown anchor strategy {anchor_strategy!r}")
 
-    basis = low_frequency_basis(normalized_laplacian(g), m) if m > 0 else None
-    codes = _codes_for(g, basis, m, scaled, quantizer, float(eta))
-    degenerate = basis.degeneracy_flag if basis is not None else False
+    codes, degenerate = _GraphCodes(g, m).get(m, float(eta), quantizer, scaled)
 
     records = []
     for i in range(resamples):
@@ -594,21 +605,12 @@ def _run_job(
         g = random_regular(n, r, gseed)
     except Exception as exc:
         return [(i, _failure_record(p, gseed, str(exc))) for i, p in indexed_points]
-    lap = None
-    cache: dict[int, SpectralBasis] = {}
-
-    def basis_for(m_eff: int) -> SpectralBasis:
-        nonlocal lap
-        if m_eff not in cache:
-            if lap is None:
-                lap = normalized_laplacian(g)
-            cache[m_eff] = low_frequency_basis(lap, m_eff)
-        return cache[m_eff]
-
+    m_max = max(point.effective_dims()[1] for _, point in indexed_points)
+    graph_codes = _GraphCodes(g, m_max)
     out = []
     for idx, point in indexed_points:
         try:
-            out.append((idx, _instance_record(point, g, gseed, basis_for)))
+            out.append((idx, _instance_record(point, g, gseed, graph_codes)))
         except Exception as exc:
             out.append((idx, _failure_record(point, gseed, str(exc))))
     return out
@@ -652,11 +654,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full grid deterministically.
 
-    Points sharing a graph instance are batched so the graph and its
-    eigenbasis are computed once. jobs > 1 distributes batches over a
-    process pool; the output order and content are identical regardless of
-    worker count. A failing trial yields a failure record and the sweep
-    continues.
+    Points sharing a graph instance are batched so the graph, its one
+    eigensolve (at the batch's largest m) and each of its code tables are
+    computed once. jobs > 1 distributes batches over a process pool; the
+    output order and content are identical regardless of worker count. A
+    failing trial yields a failure record and the sweep continues.
     """
     points = list(cfg.points())
     batches: dict[tuple[int, int], list[tuple[int, ConfigPoint]]] = defaultdict(list)

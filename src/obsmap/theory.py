@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .observation import ObservationTable, bucket_diagnostics, optimal_error
+from .observation import (
+    BucketDiagnostics,
+    ObservationTable,
+    bucket_diagnostics,
+    optimal_error,
+)
 from .spectral import QuantizedCodes, codebook_size
 
 __all__ = [
@@ -87,8 +92,7 @@ def rho_eng(b: BudgetInputs) -> float:
     return (b.k * math.log(log_n) + b.c_ent * b.m * math.log(b.C_ent / b.eta)) / log_n
 
 
-def _refined_parts(table: ObservationTable) -> tuple[float, float] | None:
-    diag = bucket_diagnostics(table)
+def _refined_parts(diag: BucketDiagnostics) -> tuple[float, float] | None:
     if not diag.rows:
         return None
     coll_hat = min(r.collision for r in diag.rows.values())
@@ -98,12 +102,26 @@ def _refined_parts(table: ObservationTable) -> tuple[float, float] | None:
     return beta_hat, coll_hat
 
 
-def bound_report(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
-    """Full bound report: generic and refined counting bounds together."""
+def bound_report(
+    table: ObservationTable,
+    codes: QuantizedCodes,
+    *,
+    diagnostics: BucketDiagnostics | None = None,
+    codebook: int | None = None,
+) -> BoundReport:
+    """Full bound report: generic and refined counting bounds together.
+
+    A caller already holding bucket_diagnostics(table) or
+    codebook_size(codes) passes them in so they are not computed again.
+    """
+    if diagnostics is None:
+        diagnostics = bucket_diagnostics(table)
+    if codebook is None:
+        codebook = codebook_size(codes)
     image = len(table.fibers)
     profiles = len(table.buckets)
-    generic = profiles * codebook_size(codes)
-    parts = _refined_parts(table)
+    generic = profiles * codebook
+    parts = _refined_parts(diagnostics)
     if parts is None:
         refined = None
         refined_ok = None

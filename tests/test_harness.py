@@ -310,6 +310,81 @@ class TestRunSweep:
         assert agg.failures == 1
 
 
+class TestOneSolvePerGraph:
+    # n=500 lies above the dense cutoff, so these run the Lanczos path.
+    def config(self, **overrides) -> SweepConfig:
+        base = dict(
+            n_list=(500,), k_list=(1, 2), m_list=(1, 2, 5), eta_list=("0.1", "0.3"),
+            trials=3, anchor_resamples=2, seed=3,
+        )
+        base.update(overrides)
+        return SweepConfig(**base)
+
+    def test_multi_m_sweep_equals_single_m_sweeps(self):
+        joint = run_sweep(self.config())
+        single = [
+            rec
+            for m in (1, 2, 5)
+            for rec in run_sweep(self.config(m_list=(m,))).records
+        ]
+        key = lambda rec: (rec.k, rec.m, float(rec.eta), rec.trial, rec.resample)
+        assert [strip_timing(r) for r in sorted(joint.records, key=key)] == [
+            strip_timing(r) for r in sorted(single, key=key)
+        ]
+        assert [r.degenerate for r in sorted(joint.records, key=key)] == [
+            r.degenerate for r in sorted(single, key=key)
+        ]
+
+    def test_run_trial_matches_sliced_sweep_record(self):
+        res = run_sweep(self.config())
+        rec = next(r for r in res.records if r.m == 2 and r.trial == 1 and r.resample == 1)
+        alone = run_trial(point(n=500, k=rec.k, m=2, eta=rec.eta, trial=1, resample=1), 3)
+        assert strip_timing(alone) == strip_timing(rec)
+
+    def test_one_solve_and_one_code_table_per_graph(self, monkeypatch):
+        counts = {"solve": 0, "quantize": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "low_frequency_basis",
+                            counting("solve", harness.low_frequency_basis))
+        monkeypatch.setattr(harness, "quantize_absolute",
+                            counting("quantize", harness.quantize_absolute))
+        res = run_sweep(self.config(m_list=(0, 1, 2, 5)))
+        assert len(res.records) == 2 * 4 * 2 * 3 * 2
+        assert counts["solve"] == 3
+        # one table per (m, eta) per graph, shared by every k and resample
+        assert counts["quantize"] == 3 * 4 * 2
+
+    def test_no_solve_without_spectral_part(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve without a spectral feature")
+
+        monkeypatch.setattr(harness, "low_frequency_basis", forbidden)
+        res = run_sweep(self.config(feature="distance"))
+        assert all(r.failure is None for r in res.records)
+
+    def test_diagnostics_and_codebook_once_per_row(self, monkeypatch):
+        import obsmap.theory as theory
+
+        counts = {"diag": 0, "codebook": 0}
+        for module in (harness, theory):
+            for name, attr in (("diag", "bucket_diagnostics"), ("codebook", "codebook_size")):
+                fn = getattr(module, attr)
+
+                def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, wrapper)
+        res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
+        assert counts == {"diag": len(res.records), "codebook": len(res.records)}
+
+
 class TestEdgeListTrials:
     def test_file_graph_records_have_no_r(self, tmp_path):
         g = random_regular(40, 3, 8)

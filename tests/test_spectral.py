@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsmap.graphs import random_regular
+from obsmap.graphs import graph_from_edges, random_regular
 from obsmap.spectral import (
+    DEGENERACY_TOL,
+    EigenSolverError,
     EnergyEmbedding,
     SpectralBasis,
     codebook_size,
@@ -31,6 +35,43 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+
+
+def torus_graph(side: int):
+    """side x side grid with wrap-around: 4-regular, highly repeated spectrum."""
+    def vid(i, j):
+        return (i % side) * side + (j % side)
+
+    edges = [(vid(i, j), vid(i, j + 1)) for i in range(side) for j in range(side)]
+    edges += [(vid(i, j), vid(i + 1, j)) for i in range(side) for j in range(side)]
+    return graph_from_edges(side * side, edges)
+
+
+def dense_oracle(lap, count):
+    """Bottom `count` eigenpairs from LAPACK, signs canonicalized as the
+    library does."""
+    vals, vecs = scipy.linalg.eigh(lap.toarray(), subset_by_index=(0, count - 1))
+    for j in range(count):
+        nz = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
+        if nz.size and vecs[nz[0], j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return vals, vecs
+
+
+def multiplicities(vals) -> list[int]:
+    """Sizes of the runs of eigenvalues tied within DEGENERACY_TOL."""
+    runs = [1]
+    for gap in np.diff(vals):
+        if gap < DEGENERACY_TOL:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+def solved_values(basis: SpectralBasis) -> np.ndarray:
+    """Retained eigenvalues plus the first dropped one."""
+    return np.append(basis.eigenvalues, basis.next_eigenvalue)
 
 
 def make_embedding(values, scaled=False) -> EnergyEmbedding:
@@ -61,6 +102,14 @@ class TestNormalizedLaplacian:
 
         with pytest.raises(ValueError, match="isolated"):
             normalized_laplacian(graph_from_edges(3, [(0, 1)]))
+
+
+@pytest.fixture(scope="module")
+def cycle3000():
+    """C_3000 Laplacian and its Lanczos basis at m=5 (every nontrivial
+    eigenvalue doubled)."""
+    lap = normalized_laplacian(cycle_graph(3000))
+    return lap, low_frequency_basis(lap, 5)
 
 
 class TestLowFrequencyBasis:
@@ -128,6 +177,116 @@ class TestLowFrequencyBasis:
             if nz.size and col[nz[0]] < 0:
                 col = -col
             assert np.max(np.abs(basis.vectors[:, j] - col)) < 1e-7
+
+    def test_lanczos_matches_dense_oracle_on_cubic_graph(self):
+        lap = normalized_laplacian(random_regular(3000, 3, 11))
+        basis = low_frequency_basis(lap, 5)
+        ref_vals, ref_vecs = dense_oracle(lap, 7)
+        assert np.max(np.abs(solved_values(basis) - ref_vals)) < 1e-10
+        oracle = SpectralBasis(
+            eigenvalues=ref_vals[:6], vectors=ref_vecs[:, :6], degeneracy_flag=False
+        )
+        for eta in (0.1, 0.3, 1.0, 2.0):
+            ours = quantize_absolute(energy_embedding(basis, 5, scaled=True), eta)
+            theirs = quantize_absolute(energy_embedding(oracle, 5, scaled=True), eta)
+            assert np.array_equal(ours.codes, theirs.codes), eta
+
+    @pytest.mark.parametrize("side", [None, 60], ids=["cycle3000", "torus60x60"])
+    def test_repeated_eigenvalues_match_oracle_and_flag(self, side, cycle3000):
+        if side is None:
+            lap, basis = cycle3000
+        else:
+            lap = normalized_laplacian(torus_graph(side))
+            basis = low_frequency_basis(lap, 5)
+        ref_vals, ref_vecs = dense_oracle(lap, 7)
+        ours = solved_values(basis)
+        assert np.max(np.abs(ours - ref_vals)) < 1e-10
+        assert multiplicities(ours) == multiplicities(ref_vals)
+        assert max(multiplicities(ours)) > 1
+        assert basis.degeneracy_flag
+        # Columns 1..4 span whole eigenspaces in both spectra (cycle: two
+        # pairs; torus: one quadruple), so the spans agree across solvers.
+        overlap = ref_vecs[:, 1:5].T @ basis.vectors[:, 1:5]
+        assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-8)
+
+    def test_boundary_tie_is_flagged(self):
+        # On a cycle lambda_1 = lambda_2: at m=1 the only tie is between the
+        # last kept and the first dropped eigenvalue.
+        basis = low_frequency_basis(normalized_laplacian(cycle_graph(12)), 1)
+        assert basis.eigenvalues.shape == (2,)
+        assert basis.vectors.shape == (12, 2)
+        assert basis.next_eigenvalue == pytest.approx(basis.eigenvalues[1], abs=1e-12)
+        assert basis.degeneracy_flag
+        # the path has a simple spectrum, so the same cut is unflagged
+        assert not low_frequency_basis(normalized_laplacian(path_graph(12)), 1).degeneracy_flag
+
+    def test_boundary_tie_is_flagged_in_lanczos_slices(self, cycle3000):
+        # Cycle spectrum 0, a, a, b, b, c, c: odd m ends inside a pair (a
+        # boundary tie), even m keeps a whole pair.
+        _, full = cycle3000
+        for m in range(1, 5):
+            cut = full.leading(m)
+            assert cut.eigenvalues.shape == (m + 1,)
+            assert cut.vectors.shape == (3000, m + 1)
+            assert cut.next_eigenvalue == full.eigenvalues[m + 1]
+            assert cut.degeneracy_flag
+        one = full.leading(1)
+        assert one.next_eigenvalue - one.eigenvalues[1] < DEGENERACY_TOL
+
+    def test_leading_matches_fresh_solve(self):
+        lap = normalized_laplacian(random_regular(600, 3, 4))
+        full = low_frequency_basis(lap, 5)
+        for m in range(6):
+            fresh = low_frequency_basis(lap, m)
+            cut = full.leading(m)
+            assert cut.degeneracy_flag == fresh.degeneracy_flag
+            assert cut.next_eigenvalue == pytest.approx(fresh.next_eigenvalue, abs=1e-10)
+            assert np.allclose(cut.eigenvalues, fresh.eigenvalues, atol=1e-10)
+            assert np.allclose(cut.vectors, fresh.vectors, atol=1e-7)
+        with pytest.raises(ValueError):
+            full.leading(6)
+
+    def test_no_extra_pair_when_basis_is_full(self):
+        basis = low_frequency_basis(normalized_laplacian(path_graph(5)), 4)
+        assert basis.next_eigenvalue is None
+        assert basis.vectors.shape == (5, 5)
+
+    def test_repeated_calls_are_bit_identical(self):
+        lap = normalized_laplacian(random_regular(3000, 3, 11))
+        a = low_frequency_basis(lap, 5)
+        b = low_frequency_basis(lap, 5)
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a.next_eigenvalue == b.next_eigenvalue
+
+    def test_large_k_relative_to_n_solves_densely(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("Lanczos called for k near n")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unexpected)
+        lap = normalized_laplacian(path_graph(500))
+        basis = low_frequency_basis(lap, 200)
+        ref_vals, _ = dense_oracle(lap, 202)
+        assert np.max(np.abs(solved_values(basis) - ref_vals)) < 1e-10
+
+    def test_no_convergence_becomes_solver_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(EigenSolverError, match="did not converge"):
+            low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
+
+    def test_residual_contract_enforced(self, monkeypatch):
+        real = scipy.sparse.linalg.eigsh
+
+        def sloppy(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", sloppy)
+        with pytest.raises(EigenSolverError, match="residual"):
+            low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
 
     def test_accepts_dense_input(self):
         lap = normalized_laplacian(path_graph(5))
