@@ -45,8 +45,7 @@ def main() -> int:
             trials=trials, anchor_resamples=resamples, seed=args.seed)
         result = run_sweep(cfg, jobs=args.jobs)
         rows.extend(result.records)
-        key = (2000, 3, 2, m, eta, "absolute", True, "full", "random")
-        agg = result.aggregates[key]
+        agg = result.aggregates[next(cfg.points()).grid_key()]
         line = f"{name:>7} {m:>2} {eta:>4}"
         for metric, _ in COLUMNS:
             line += f" {agg.means[metric]:>10.4g}"

@@ -25,6 +25,7 @@ from obsmap.graphs import random_regular
 from obsmap.harness import anchor_seed_for, graph_seed_for, select_anchors
 from obsmap.observation import build_observation, fiber_stats
 from obsmap.spectral import (
+    codebook_size,
     energy_embedding,
     low_frequency_basis,
     normalized_laplacian,
@@ -63,7 +64,7 @@ def main() -> int:
             stats = fiber_stats(build_observation(g, anchors, fixed))
             errors.append(stats.error)
             preimages.append(g.n / stats.image_size)
-            ratios.append(len({tuple(row) for row in fixed.codes}) / g.n)
+            ratios.append(codebook_size(fixed) / g.n)
             tied = quantize_relative(emb, eta)
             rel_errors.append(fiber_stats(build_observation(g, anchors, tied)).error)
         print(

@@ -45,16 +45,12 @@ from .observation import (
     build_observation,
     fiber_stats,
     min_id_section,
-    optimal_error,
     section_success,
 )
 from .theory import (
     BoundReport,
     BudgetInputs,
     bound_report,
-    generic_image_bound,
-    impossibility_floor,
-    refined_image_bound,
     rho_eng,
     subcritical_check,
 )

@@ -29,6 +29,7 @@ from .graphs import (
 )
 from .harness import (
     SweepConfig,
+    _GraphCodes,
     analyze_records,
     anchor_seed_for,
     evaluate_instance,
@@ -40,17 +41,7 @@ from .harness import (
     write_csv,
     write_records_csv,
 )
-from .observation import BUCKET_CUTOFFS
-from .spectral import (
-    empty_embedding,
-    energy_embedding,
-    low_frequency_basis,
-    normalized_laplacian,
-    quantize_absolute,
-    quantize_relative,
-    write_basis_tsv,
-    write_embedding_tsv,
-)
+from .spectral import energy_embedding, write_basis_tsv, write_embedding_tsv
 
 
 def _parse_regular(text: str) -> tuple[int, int]:
@@ -149,6 +140,7 @@ def _mean(values: list[float]) -> float:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g, r = _load_graph(args)
     scaled = _parse_bool(args.scaled)
+    graph_codes = _GraphCodes(g, args.m)
     records = analyze_records(
         g,
         r=r,
@@ -160,6 +152,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         anchor_strategy=args.strategy,
         seed=args.seed,
         resamples=args.resamples,
+        graph_codes=graph_codes,
     )
     if records[0].degenerate:
         print(
@@ -167,17 +160,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "basis-dependent at this m",
             file=sys.stderr,
         )
-    if args.basis_tsv is not None or args.embedding_tsv is not None:
-        if args.m > 0:
-            basis = low_frequency_basis(normalized_laplacian(g), args.m)
-            emb = energy_embedding(basis, args.m, scaled)
-        else:
-            basis = low_frequency_basis(normalized_laplacian(g), 0)
-            emb = empty_embedding(g.n, scaled)
-        if args.basis_tsv is not None:
-            write_basis_tsv(basis, args.basis_tsv)
-        if args.embedding_tsv is not None:
-            write_embedding_tsv(emb, args.embedding_tsv)
+    if args.basis_tsv is not None:
+        write_basis_tsv(graph_codes.basis(), args.basis_tsv)
+    if args.embedding_tsv is not None:
+        write_embedding_tsv(
+            energy_embedding(graph_codes.basis(), args.m, scaled), args.embedding_tsv
+        )
 
     errors = [rec.error for rec in records]
     mean_error = _mean(errors)
@@ -205,13 +193,7 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
     scaled = _parse_bool(args.scaled)
     if args.anchors < 1:
         raise ValueError("anchor count must be at least 1")
-    if args.m > 0:
-        basis = low_frequency_basis(normalized_laplacian(g), args.m)
-        emb = energy_embedding(basis, args.m, scaled)
-    else:
-        emb = empty_embedding(g.n, scaled)
-    eta = float(args.eta)
-    codes = quantize_absolute(emb, eta) if args.quantizer == "absolute" else quantize_relative(emb, eta)
+    codes, _ = _GraphCodes(g, args.m).get(args.m, float(args.eta), args.quantizer, scaled)
     aseed = anchor_seed_for(args.seed, args.anchors, args.strategy, 0)
     anchors = select_anchors(g, args.anchors, args.strategy, aseed)
     report = evaluate_instance(g, anchors, codes)

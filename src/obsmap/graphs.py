@@ -35,9 +35,10 @@ __all__ = [
     "structural_stats",
 ]
 
-# Pairing-model attempts before giving up. Rejection probability per draw
-# approaches exp((1-r^2)/4) for large n, so this is astronomically safe for
-# the supported degrees.
+# Pairing-model attempts before giving up. The probability that a draw is
+# simple, and so accepted, approaches p = exp((1-r^2)/4) for large n, and all
+# attempts fail with probability about exp(-100000 p): negligible up to r = 6
+# (p ~ 1.6e-4), but about 0.54 at r = 7 (p ~ 6e-6) and 0.99 at r = 8.
 _MAX_PAIRING_ATTEMPTS = 100_000
 
 

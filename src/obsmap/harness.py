@@ -11,6 +11,7 @@ regimes, which the bucketwise comparisons rely on.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 import time
@@ -94,6 +95,11 @@ _METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("error"):]
 _FAILURE_MARKER = "error"
 _NA = "n/a"
 
+# Fields that name a grid cell; records sharing them aggregate together.
+_GRID_FIELDS = (
+    "n", "r", "k", "m", "eta", "quantizer", "scaled", "feature", "anchor_strategy",
+)
+
 _AGGREGATED_METRICS = (
     "error", "image_frac", "mean_preimage", "singleton_frac",
     "codebook_size", "profile_count", "singleton_bucket_frac",
@@ -124,15 +130,30 @@ def anchor_seed_for(graph_seed: int, k: int, strategy: str, resample: int) -> in
     return mix64("anchors", graph_seed, k, strategy, resample)
 
 
-def _check_eta(eta: str) -> None:
-    try:
-        value = float(eta)
-    except ValueError as exc:
-        raise ValueError(f"eta {eta!r} is not a decimal number") from exc
-    if not value > 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"eta must be finite, got {eta!r}")
+def _check_options(
+    etas: Iterable[str], quantizer: str, feature: str, anchor_strategy: str
+) -> None:
+    """Checks shared by ConfigPoint, SweepConfig and analyze_records."""
+    for eta in etas:
+        try:
+            value = float(eta)
+        except ValueError as exc:
+            raise ValueError(f"eta {eta!r} is not a decimal number") from exc
+        if not value > 0:
+            raise ValueError(f"eta must be positive, got {eta!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"eta must be finite, got {eta!r}")
+    if quantizer not in QUANTIZERS:
+        raise ValueError(f"unknown quantizer {quantizer!r}")
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}")
+    if anchor_strategy not in STRATEGIES:
+        raise ValueError(f"unknown anchor strategy {anchor_strategy!r}")
+
+
+def _grid_key(source: object, **cell: object) -> tuple:
+    """The _GRID_FIELDS values, taken from cell where given, else from source."""
+    return tuple(cell[f] if f in cell else getattr(source, f) for f in _GRID_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -166,13 +187,7 @@ class ConfigPoint:
             raise ValueError("k must lie in [0, n]")
         if self.m < 0:
             raise ValueError("m must be non-negative")
-        _check_eta(self.eta)
-        if self.quantizer not in QUANTIZERS:
-            raise ValueError(f"unknown quantizer {self.quantizer!r}")
-        if self.feature not in FEATURES:
-            raise ValueError(f"unknown feature {self.feature!r}")
-        if self.anchor_strategy not in STRATEGIES:
-            raise ValueError(f"unknown anchor strategy {self.anchor_strategy!r}")
+        _check_options((self.eta,), self.quantizer, self.feature, self.anchor_strategy)
         if self.trial < 0 or self.resample < 0:
             raise ValueError("trial and resample indices must be non-negative")
 
@@ -191,10 +206,7 @@ class ConfigPoint:
         return self.k, self.m
 
     def grid_key(self) -> tuple:
-        return (
-            self.n, self.r, self.k, self.m, self.eta, self.quantizer,
-            self.scaled, self.feature, self.anchor_strategy,
-        )
+        return _grid_key(self)
 
 
 def _as_int_tuple(values: Iterable[int], name: str) -> tuple[int, ...]:
@@ -236,8 +248,7 @@ class SweepConfig:
         if not etas:
             raise ValueError("eta_list must be non-empty")
         object.__setattr__(self, "eta_list", etas)
-        for eta in etas:
-            _check_eta(eta)
+        _check_options(etas, self.quantizer, self.feature, self.anchor_strategy)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.anchor_resamples < 1:
@@ -258,12 +269,6 @@ class SweepConfig:
                 raise ValueError("m values must be non-negative")
             if m + 1 > min(self.n_list):
                 raise ValueError(f"m={m} needs more than m+1 vertices")
-        if self.quantizer not in QUANTIZERS:
-            raise ValueError(f"unknown quantizer {self.quantizer!r}")
-        if self.feature not in FEATURES:
-            raise ValueError(f"unknown feature {self.feature!r}")
-        if self.anchor_strategy not in STRATEGIES:
-            raise ValueError(f"unknown anchor strategy {self.anchor_strategy!r}")
 
     def points(self) -> Iterator[ConfigPoint]:
         """Grid cells in the deterministic output order: config
@@ -285,8 +290,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One executed grid cell. Metric fields are None when the trial failed
-    (failure holds the reason) or when a diagnostic is inapplicable."""
+    """One executed grid cell: the ConfigPoint fields, the graph seed, and
+    the metrics. Metric fields are None when the trial failed (failure holds
+    the reason) or when a diagnostic is inapplicable."""
 
     n: int
     r: int | None
@@ -300,28 +306,25 @@ class TrialRecord:
     trial: int
     resample: int
     seed: int
-    error: float | None
-    image_frac: float | None
-    mean_preimage: float | None
-    singleton_frac: float | None
-    codebook_size: int | None
-    profile_count: int | None
-    singleton_bucket_frac: float | None
-    weighted_collision: float | None
-    median_code_ratio: float | None
-    q90_balance: float | None
-    generic_bound: int | None
-    refined_bound: float | None
-    bounds_ok: bool | None
-    wall_time_ms: float | None
+    error: float | None = None
+    image_frac: float | None = None
+    mean_preimage: float | None = None
+    singleton_frac: float | None = None
+    codebook_size: int | None = None
+    profile_count: int | None = None
+    singleton_bucket_frac: float | None = None
+    weighted_collision: float | None = None
+    median_code_ratio: float | None = None
+    q90_balance: float | None = None
+    generic_bound: int | None = None
+    refined_bound: float | None = None
+    bounds_ok: bool | None = None
+    wall_time_ms: float | None = None
     degenerate: bool = False
     failure: str | None = None
 
     def grid_key(self) -> tuple:
-        return (
-            self.n, self.r, self.k, self.m, self.eta, self.quantizer,
-            self.scaled, self.feature, self.anchor_strategy,
-        )
+        return _grid_key(self)
 
 
 @dataclass(frozen=True)
@@ -400,6 +403,12 @@ class _GraphCodes:
         self._basis: SpectralBasis | None = None
         self._codes: dict[tuple, tuple[QuantizedCodes, bool]] = {}
 
+    def basis(self) -> SpectralBasis:
+        """The bottom m_max+1 eigenpairs, solved on the first call."""
+        if self._basis is None:
+            self._basis = low_frequency_basis(normalized_laplacian(self.g), self.m_max)
+        return self._basis
+
     def get(
         self, m: int, eta: float, quantizer: str, scaled: bool
     ) -> tuple[QuantizedCodes, bool]:
@@ -410,10 +419,7 @@ class _GraphCodes:
                 emb = empty_embedding(self.g.n, scaled)
                 degenerate = False
             else:
-                if self._basis is None:
-                    lap = normalized_laplacian(self.g)
-                    self._basis = low_frequency_basis(lap, self.m_max)
-                basis = self._basis.leading(m)
+                basis = self.basis().leading(m)
                 emb = energy_embedding(basis, m, scaled)
                 degenerate = basis.degeneracy_flag
             if quantizer == "absolute":
@@ -473,26 +479,12 @@ def _record_from_report(
 
 
 def _point_identity(point: ConfigPoint) -> dict:
-    return dict(
-        n=point.n, r=point.r, k=point.k, m=point.m, eta=point.eta,
-        quantizer=point.quantizer, scaled=point.scaled, feature=point.feature,
-        anchor_strategy=point.anchor_strategy, trial=point.trial,
-        resample=point.resample,
-    )
+    """The identity fields of a TrialRecord, which are ConfigPoint's fields."""
+    return {f.name: getattr(point, f.name) for f in dataclasses.fields(point)}
 
 
 def _failure_record(point: ConfigPoint, seed: int, reason: str) -> TrialRecord:
-    return TrialRecord(
-        n=point.n, r=point.r, k=point.k, m=point.m, eta=point.eta,
-        quantizer=point.quantizer, scaled=point.scaled, feature=point.feature,
-        anchor_strategy=point.anchor_strategy, trial=point.trial,
-        resample=point.resample, seed=seed,
-        error=None, image_frac=None, mean_preimage=None, singleton_frac=None,
-        codebook_size=None, profile_count=None, singleton_bucket_frac=None,
-        weighted_collision=None, median_code_ratio=None, q90_balance=None,
-        generic_bound=None, refined_bound=None, bounds_ok=None,
-        wall_time_ms=None, failure=reason,
-    )
+    return TrialRecord(**_point_identity(point), seed=seed, failure=reason)
 
 
 def _instance_record(
@@ -557,12 +549,15 @@ def analyze_records(
     anchor_strategy: str = "random",
     seed: int = 0,
     resamples: int = 1,
+    graph_codes: _GraphCodes | None = None,
 ) -> list[TrialRecord]:
     """Evaluate one graph under repeated anchor resamples.
 
     The spectral part is computed once (it does not depend on the anchor
     draw); resample i draws anchors from anchor_seed_for(seed, k,
-    strategy, i). Records carry trial index 0 and the given seed.
+    strategy, i). Records carry trial index 0 and the given seed. A caller
+    that also needs the basis passes its own _GraphCodes(g, m) and reads
+    graph_codes.basis() afterwards, so the graph is solved once.
     """
     if k < 1:
         raise ValueError("anchor count must be at least 1")
@@ -572,13 +567,11 @@ def analyze_records(
         raise ValueError("m must be non-negative")
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
-    _check_eta(eta)
-    if quantizer not in QUANTIZERS:
-        raise ValueError(f"unknown quantizer {quantizer!r}")
-    if anchor_strategy not in STRATEGIES:
-        raise ValueError(f"unknown anchor strategy {anchor_strategy!r}")
+    _check_options((eta,), quantizer, "full", anchor_strategy)
 
-    codes, degenerate = _GraphCodes(g, m).get(m, float(eta), quantizer, scaled)
+    if graph_codes is None:
+        graph_codes = _GraphCodes(g, m)
+    codes, degenerate = graph_codes.get(m, float(eta), quantizer, scaled)
 
     records = []
     for i in range(resamples):
@@ -722,11 +715,7 @@ def k_emp(
     if m not in cfg.m_list:
         raise ValueError(f"m={m} not in the sweep grid")
     for k in sorted(set(cfg.k_list)):
-        key = (
-            n, cfg.r, k, m, eta_key, cfg.quantizer, cfg.scaled,
-            cfg.feature, cfg.anchor_strategy,
-        )
-        agg = result.aggregates.get(key)
+        agg = result.aggregates.get(_grid_key(cfg, n=n, k=k, m=m, eta=eta_key))
         if agg is None or "error" not in agg.means:
             raise ValueError(
                 f"no successful records for n={n} k={k} m={m} eta={eta_key}"

@@ -28,7 +28,6 @@ __all__ = [
     "BUCKET_CUTOFFS",
     "build_observation",
     "fiber_stats",
-    "optimal_error",
     "min_id_section",
     "section_success",
     "bucket_collision",
@@ -157,6 +156,8 @@ def build_observation(
 
 
 def fiber_stats(table: ObservationTable) -> FiberStats:
+    """Fiber statistics; .error is the optimal exact-recovery error
+    1 - |image|/n, the floor no decoder of the observation can beat."""
     sizes = [len(vs) for vs in table.fibers.values()]
     image = len(sizes)
     n = table.n
@@ -168,11 +169,6 @@ def fiber_stats(table: ObservationTable) -> FiberStats:
         vertex_mean_preimage=sum(s * s for s in sizes) / n,
         singleton_fraction=singletons / n,
     )
-
-
-def optimal_error(table: ObservationTable) -> float:
-    """Smallest achievable exact-recovery error, 1 - |image|/n."""
-    return 1.0 - len(table.fibers) / table.n
 
 
 def min_id_section(table: ObservationTable) -> dict[Observation, int]:

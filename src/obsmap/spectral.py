@@ -171,23 +171,8 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     if np.any(degs == 0):
         isolated = int(np.flatnonzero(degs == 0)[0])
         raise ValueError(f"vertex {isolated} is isolated")
-    inv_sqrt = 1.0 / np.sqrt(degs.astype(np.float64))
-    rows = []
-    cols = []
-    data = []
-    for u in range(g.n):
-        rows.append(u)
-        cols.append(u)
-        data.append(1.0)
-    for u, v in g.edges():
-        w = -inv_sqrt[u] * inv_sqrt[v]
-        rows.extend((u, v))
-        cols.extend((v, u))
-        data.extend((w, w))
-    lap = sp.csr_matrix(
-        (np.array(data), (np.array(rows), np.array(cols))), shape=(g.n, g.n)
-    )
-    return lap
+    scale = sp.diags(1.0 / np.sqrt(degs.astype(np.float64)))
+    return sp.csr_matrix(sp.identity(g.n, format="csr") - scale @ g.to_sparse() @ scale)
 
 
 def _degenerate(vals: np.ndarray, tol: float) -> bool:

@@ -1,5 +1,5 @@
-"""Budget ratios, counting bounds on the observation image, and the
-reconstruction floor.
+"""Budget ratios and counting bounds on the observation image. The
+reconstruction floor itself is observation.fiber_stats(table).error.
 
 Asymptotic constants are never estimated: every bound check substitutes
 measured instance quantities (profile count, codebook size, extremal bucket
@@ -12,22 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .observation import (
-    BucketDiagnostics,
-    ObservationTable,
-    bucket_diagnostics,
-    optimal_error,
-)
+from .observation import BucketDiagnostics, ObservationTable, bucket_diagnostics
 from .spectral import QuantizedCodes, codebook_size
 
 __all__ = [
     "BudgetInputs",
     "BoundReport",
     "rho_eng",
-    "generic_image_bound",
-    "refined_image_bound",
     "bound_report",
-    "impossibility_floor",
     "subcritical_check",
 ]
 
@@ -111,6 +103,13 @@ def bound_report(
 ) -> BoundReport:
     """Full bound report: generic and refined counting bounds together.
 
+    The refined bound D * (1 + beta_hat / coll_hat) applies only when a
+    non-singleton bucket exists and the minimum non-singleton bucket
+    collision is positive; otherwise the refined fields stay None. Under
+    that substitution the bound is implied by the per-bucket inequality
+    M(B) <= Bal(B) |B| / (1 + (|B|-1) Coll(B)), so refined_satisfied must
+    always come back True when applicable.
+
     A caller already holding bucket_diagnostics(table) or
     codebook_size(codes) passes them in so they are not computed again.
     """
@@ -137,38 +136,6 @@ def bound_report(
         refined_bound=refined,
         refined_satisfied=refined_ok,
     )
-
-
-def generic_image_bound(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
-    """Bound report for |image| <= D * codebook only (refined part left n/a)."""
-    image = len(table.fibers)
-    profiles = len(table.buckets)
-    generic = profiles * codebook_size(codes)
-    return BoundReport(
-        image_size=image,
-        profile_bound=profiles,
-        generic_bound=generic,
-        generic_satisfied=image <= generic,
-        refined_bound=None,
-        refined_satisfied=None,
-    )
-
-
-def refined_image_bound(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
-    """Bound report with the refined bound D * (1 + beta_hat / coll_hat).
-
-    Applicable only when a non-singleton bucket exists and the minimum
-    non-singleton bucket collision is positive; otherwise the refined
-    fields stay None. Under that substitution the bound is implied by the
-    per-bucket inequality M(B) <= Bal(B) |B| / (1 + (|B|-1) Coll(B)), so
-    refined_satisfied must always come back True when applicable.
-    """
-    return bound_report(table, codes)
-
-
-def impossibility_floor(table: ObservationTable) -> float:
-    """Least achievable reconstruction error; equals optimal_error exactly."""
-    return optimal_error(table)
 
 
 def subcritical_check(b: BudgetInputs, epsilon0: float) -> bool:

@@ -35,7 +35,6 @@ from obsmap.observation import (
     build_observation,
     fiber_stats,
     min_id_section,
-    optimal_error,
     section_success,
 )
 from obsmap.spectral import (
@@ -184,7 +183,7 @@ class TestOptimalErrorIdentity:
             target = report.stats.image_size / g.n
             worst = max(worst, abs(attained - target))
             assert attained == target
-            assert optimal_error(table) == report.stats.error
+            assert 1.0 - section_success(table) == report.stats.error
         gate(
             "optimal-error identity", worst == 0.0,
             f"min-id section matches image fraction exactly on "

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 
 import pytest
 
+from obsmap import spectral
 from obsmap.cli import main
 from obsmap.graphs import from_edge_list, random_regular, serialize_edge_list
 from obsmap.harness import (
@@ -243,6 +245,43 @@ class TestAnalyze:
         assert len(emb_lines) == 1 + 40 * 2
         assert basis_lines[0].startswith("vertex")
 
+    def test_dumps_reuse_the_analysis_solve(self, capsys, tmp_path, monkeypatch):
+        original = spectral.low_frequency_basis
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Patch every import site, so a solve from any module is counted.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("obsmap") and vars(module).get("low_frequency_basis") is original:
+                monkeypatch.setattr(module, "low_frequency_basis", counting)
+        basis_path = tmp_path / "basis.tsv"
+        emb_path = tmp_path / "emb.tsv"
+        code, _, _ = run_cli(
+            capsys, "analyze", "--regular", "64,3", "--anchors", "2", "--m", "2",
+            "--basis-tsv", str(basis_path), "--embedding-tsv", str(emb_path))
+        assert code == 0
+        assert len(calls) == 1
+        # The dumps hold the basis and embedding of a fresh solve, byte for byte.
+        basis = original(spectral.normalized_laplacian(random_regular(64, 3, 0)), 2)
+        spectral.write_basis_tsv(basis, str(tmp_path / "fresh_basis.tsv"))
+        spectral.write_embedding_tsv(
+            spectral.energy_embedding(basis, 2, True), str(tmp_path / "fresh_emb.tsv"))
+        assert basis_path.read_bytes() == (tmp_path / "fresh_basis.tsv").read_bytes()
+        assert emb_path.read_bytes() == (tmp_path / "fresh_emb.tsv").read_bytes()
+
+    def test_m0_dumps_trivial_basis_and_empty_embedding(self, capsys, tmp_path):
+        basis_path = tmp_path / "basis.tsv"
+        emb_path = tmp_path / "emb.tsv"
+        code, _, _ = run_cli(
+            capsys, "analyze", "--regular", "40,3", "--anchors", "1", "--m", "0",
+            "--basis-tsv", str(basis_path), "--embedding-tsv", str(emb_path))
+        assert code == 0
+        assert len(basis_path.read_text().splitlines()) == 1 + 40
+        assert emb_path.read_text() == "vertex\teigenvalue_index\tvalue\n"
+
     def test_degenerate_spectrum_warns(self, capsys, tmp_path):
         # The 4-cycle repeats its middle eigenvalue; retaining both copies
         # at m=2 trips the basis-dependence warning.
@@ -301,6 +340,13 @@ class TestDiagnoseBuckets:
         code, _, _ = run_cli(
             capsys, "diagnose-buckets", "--regular", "64,3", "--anchors", "0")
         assert code == 2
+
+    def test_negative_m_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "diagnose-buckets", "--regular", "64,3", "--anchors", "1",
+            "--m", "-1")
+        assert code == 2
+        assert "m must be non-negative" in err
 
 
 class TestSweep:

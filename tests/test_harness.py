@@ -4,6 +4,7 @@ and the anchor-threshold table."""
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from obsmap.harness import (
     ConfigPoint,
     CsvFormatError,
     SweepConfig,
+    TrialRecord,
     analyze_records,
     anchor_seed_for,
     graph_seed_for,
@@ -290,6 +292,12 @@ class TestRunSweep:
         assert all(row["weighted_collision"] == "error" for row in marked)
         # identity columns survive on failure rows
         assert all(row["n"] == "40" and row["trial"] == "1" for row in marked)
+        metrics = [
+            f.name for f in dataclasses.fields(TrialRecord)
+            if f.name in CSV_COLUMNS[CSV_COLUMNS.index("error"):]
+        ]
+        assert len(metrics) == 14
+        assert all(getattr(r, name) is None for r in failed for name in metrics)
 
     def test_per_point_failure_does_not_stop_sweep(self, monkeypatch):
         cfg = self.small_config()
@@ -383,6 +391,20 @@ class TestOneSolvePerGraph:
                 monkeypatch.setattr(module, attr, wrapper)
         res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
         assert counts == {"diag": len(res.records), "codebook": len(res.records)}
+
+
+class TestRecordIdentity:
+    def test_record_leads_with_the_point_fields(self):
+        point_fields = [f.name for f in dataclasses.fields(ConfigPoint)]
+        record_fields = [f.name for f in dataclasses.fields(TrialRecord)]
+        assert point_fields == [*harness._GRID_FIELDS, "trial", "resample"]
+        assert record_fields[: len(point_fields) + 1] == [*point_fields, "seed"]
+
+    def test_grid_keys_agree(self):
+        p = point(k=3, m=2, eta="0.25", trial=4, resample=1)
+        rec = TrialRecord(**harness._point_identity(p), seed=9)
+        assert rec.grid_key() == p.grid_key()
+        assert p.grid_key() == (64, 3, 3, 2, "0.25", "absolute", True, "full", "random")
 
 
 class TestEdgeListTrials:
@@ -610,6 +632,28 @@ class TestParseSweepConfig:
     def test_value_errors_surface_from_config(self):
         with pytest.raises(ValueError):
             parse_sweep_config("n=15\nk=1\nm=0\neta=0.1\ntrials=0\n")
+
+    def test_checked_in_experiment_configs(self):
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        configs = {
+            path.name: parse_sweep_config(path.read_text(encoding="utf-8"))
+            for path in sorted(scripts.glob("*.conf"))
+        }
+        assert {"phase_transition.conf", "phase_transition_full.conf"} <= set(configs)
+        reduced = configs["phase_transition.conf"]
+        assert reduced.n_list == (500,)
+        assert reduced.k_list == (1, 2, 3, 4, 6, 8)
+        assert reduced.m_list == (0, 1, 2, 5)
+        assert reduced.eta_list == ("0.1",)
+        assert reduced.trials == 20
+        full = configs["phase_transition_full.conf"]
+        assert full.n_list == (500, 1000, 2000, 4000)
+        assert full.eta_list == ("0.9", "0.7", "0.5", "0.3", "0.1")
+        # every other setting at its default: cubic graphs, master seed 0
+        for cfg in (reduced, full):
+            assert cfg == SweepConfig(
+                n_list=cfg.n_list, k_list=(1, 2, 3, 4, 6, 8),
+                m_list=(0, 1, 2, 5), eta_list=cfg.eta_list)
 
 
 class TestStatisticalBehavior:

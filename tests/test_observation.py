@@ -18,7 +18,6 @@ from obsmap.observation import (
     build_observation,
     fiber_stats,
     min_id_section,
-    optimal_error,
     section_success,
 )
 from obsmap.spectral import (
@@ -132,7 +131,7 @@ class TestOptimalError:
             )
             best = max(best, hits)
         assert best / 4 == 0.5
-        assert optimal_error(table) == 0.5
+        assert fiber_stats(table).error == 0.5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -140,7 +139,7 @@ class TestOptimalError:
         g, anchors, codes = random_instance(seed)
         table = build_observation(g, anchors, codes)
         assert section_success(table) == pytest.approx(
-            1.0 - optimal_error(table), abs=1e-15
+            1.0 - fiber_stats(table).error, abs=1e-15
         )
 
     @given(st.integers(0, 300))

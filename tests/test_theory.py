@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsmap.graphs import AnchorSet, random_regular
-from obsmap.observation import build_observation, optimal_error
+from obsmap.observation import build_observation, fiber_stats
 from obsmap.spectral import (
     QuantizedCodes,
     empty_embedding,
@@ -21,9 +21,6 @@ from obsmap.theory import (
     BoundReport,
     BudgetInputs,
     bound_report,
-    generic_image_bound,
-    impossibility_floor,
-    refined_image_bound,
     rho_eng,
     subcritical_check,
 )
@@ -119,11 +116,14 @@ class TestGenericBound:
     def test_m0_bound_equals_image(self):
         g = star_graph(3)
         table = build_observation(g, AnchorSet((0,)), no_codes(4))
-        report = generic_image_bound(table, no_codes(4))
+        report = bound_report(table, no_codes(4))
         assert report.generic_bound == report.image_size == 2
         assert report.generic_satisfied
-        assert report.refined_bound is None
-        assert not report.refined_applicable
+        # The leaf bucket {1, 2, 3} shares one code: collision 1, balance 1,
+        # so the refined bound is 2 * (1 + 1/1).
+        assert report.refined_bound == 4.0
+        assert report.refined_applicable
+        assert report.refined_satisfied
 
     def test_arithmetic(self):
         report = BoundReport(
@@ -145,7 +145,7 @@ class TestGenericBound:
             )
             basis = low_frequency_basis(normalized_laplacian(g), 2)
             codes = quantize_absolute(energy_embedding(basis, 2, scaled=True), 0.5)
-            report = generic_image_bound(build_observation(g, anchors, codes), codes)
+            report = bound_report(build_observation(g, anchors, codes), codes)
             assert report.generic_satisfied
             assert report.image_size <= report.generic_bound
 
@@ -164,7 +164,7 @@ class TestRefinedBound:
         codes = codes_from_rows([[1], [1], [2]])
         table = build_observation(g, AnchorSet(()), codes)
         assert len(table.buckets) == 1
-        report = refined_image_bound(table, codes)
+        report = bound_report(table, codes)
         assert report.refined_bound == pytest.approx(5.0)
         assert report.image_size == 2
         assert report.refined_satisfied
@@ -172,7 +172,7 @@ class TestRefinedBound:
     def test_all_singleton_buckets_not_applicable(self):
         g = path_graph(4)
         table = build_observation(g, AnchorSet((0,)), no_codes(4))
-        report = refined_image_bound(table, no_codes(4))
+        report = bound_report(table, no_codes(4))
         assert report.refined_bound is None
         assert report.refined_satisfied is None
 
@@ -182,7 +182,7 @@ class TestRefinedBound:
         g = path_graph(3)
         codes = codes_from_rows([[1], [2], [3]])
         table = build_observation(g, AnchorSet(()), codes)
-        report = refined_image_bound(table, codes)
+        report = bound_report(table, codes)
         assert report.refined_bound is None
 
     @given(st.integers(0, 10_000))
@@ -199,18 +199,12 @@ class TestImpossibilityFloor:
     def test_injective(self):
         g = path_graph(4)
         table = build_observation(g, AnchorSet((0, 3)), no_codes(4))
-        assert impossibility_floor(table) == 0.0
+        assert fiber_stats(table).error == 0.0
 
     def test_star(self):
         g = star_graph(3)
         table = build_observation(g, AnchorSet((0,)), no_codes(4))
-        assert impossibility_floor(table) == 0.5
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_equals_optimal_error_bitwise(self, seed):
-        table, _ = spectral_instance(seed)
-        assert impossibility_floor(table) == optimal_error(table)
+        assert fiber_stats(table).error == 0.5
 
 
 class TestSubcriticalCheck:
