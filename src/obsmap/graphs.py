@@ -8,13 +8,13 @@ violations raise ConnectivityError.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = [
     "ConnectivityError",
@@ -34,6 +34,10 @@ __all__ = [
     "anchor_profile",
     "structural_stats",
 ]
+
+# Distance rows held at once by structural_stats: 512 rows of float64 are
+# 80 MB at n = 20 000, against 3.2 GB for the whole matrix.
+_STATS_CHUNK = 512
 
 # Pairing-model attempts before giving up. The probability that a draw is
 # simple, and so accepted, approaches p = exp((1-r^2)/4) for large n, and all
@@ -55,18 +59,33 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     adjacency[v] is the sorted tuple of neighbours of v; edge_count is the
-    number of undirected edges.
+    number of undirected edges. The CSR adjacency matrix is built once, at
+    construction, and shared read-only by every array-level operation.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     edge_count: int
+    _csr: csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.n)
+        np.cumsum(degrees, out=indptr[1:])
+        indices = np.fromiter(
+            itertools.chain.from_iterable(self.adjacency), dtype=np.int64, count=indptr[-1]
+        )
+        data = np.ones(indices.size, dtype=np.float64)
+        csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        for arr in (csr.data, csr.indices, csr.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_csr", csr)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+        return np.diff(self._csr.indptr).astype(np.int64)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield undirected edges as (u, v) with u < v, lexicographically."""
@@ -76,14 +95,9 @@ class Graph:
                     yield u, v
 
     def to_sparse(self) -> csr_matrix:
-        """Adjacency matrix as CSR with unit weights."""
-        rows = []
-        cols = []
-        for u, nbrs in enumerate(self.adjacency):
-            rows.extend([u] * len(nbrs))
-            cols.extend(nbrs)
-        data = np.ones(len(rows), dtype=np.float64)
-        return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        """Adjacency matrix as CSR with unit weights, sorted column indices
+        and read-only arrays; the same object on every call."""
+        return self._csr
 
 
 @dataclass(frozen=True)
@@ -195,11 +209,12 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         keys = lo * n + hi
         if np.unique(keys).size != keys.size:
             continue
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+        # Both directions of every edge, sorted by (source, target), give
+        # each vertex's sorted neighbour run; every vertex has exactly r.
+        directed = np.concatenate([keys, hi * n + lo])
+        directed.sort()
+        targets = (directed % n).tolist()
+        adjacency = tuple(zip(*(targets[j::r] for j in range(r))))
         g = Graph(n=n, adjacency=adjacency, edge_count=len(lo))
         if _is_connected(g):
             return g
@@ -278,42 +293,11 @@ def write_token_map(token_ids: Mapping[str, int], path: str) -> None:
             fh.write(f"{token}\t{vid}\n")
 
 
-def _components(g: Graph) -> list[list[int]]:
-    """Connected components, each sorted, ordered by smallest member id."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
-    seen = [False] * g.n
-    seen[0] = True
-    count = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    count, _ = connected_components(g.to_sparse(), directed=False)
+    return count == 1
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -324,15 +308,43 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    comps = _components(g)
-    best = max(comps, key=len)  # first max: smallest contained id wins ties
-    remap = {old: new for new, old in enumerate(best)}
+    _, labels = connected_components(g.to_sparse(), directed=False)
+    sizes = np.bincount(labels)
+    # The smallest id lying in a component of the largest size picks the winner.
+    first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
+    keep = np.flatnonzero(labels == labels[first])
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
     edges = [
-        (remap[u], remap[v])
+        (int(remap[u]), int(remap[v]))
         for u, v in g.edges()
-        if u in remap and v in remap
+        if remap[u] >= 0
     ]
-    return graph_from_edges(len(best), edges)
+    return graph_from_edges(keep.size, edges)
+
+
+def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """Hop distances from each source, shape (len(sources), n), int64.
+
+    One C-level breadth-first search per source (unweighted csgraph
+    shortest paths; the adjacency is symmetric, so the directed search sees
+    every edge both ways).
+
+    Raises:
+        ConnectivityError: naming the first source, in the given order, that
+            leaves a vertex unreachable, and its smallest unreachable vertex.
+    """
+    dist = shortest_path(
+        g.to_sparse(), method="D", directed=True, unweighted=True, indices=list(sources)
+    )
+    unreachable = np.isinf(dist)
+    if unreachable.any():
+        row = int(np.flatnonzero(unreachable.any(axis=1))[0])
+        missing = int(np.flatnonzero(unreachable[row])[0])
+        raise ConnectivityError(
+            f"vertex {missing} unreachable from source {sources[row]}"
+        )
+    return dist.astype(np.int64)
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
@@ -344,22 +356,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    if np.any(dist < 0):
-        missing = int(np.flatnonzero(dist < 0)[0])
-        raise ConnectivityError(
-            f"vertex {missing} unreachable from source {source}"
-        )
-    return dist
+    return _bfs(g, [source])[0]
 
 
 def anchor_profile(g: Graph, anchors: AnchorSet) -> np.ndarray:
@@ -373,15 +370,7 @@ def anchor_profile(g: Graph, anchors: AnchorSet) -> np.ndarray:
             raise ValueError(f"anchor {a} out of range for n={g.n}")
     if anchors.k == 0:
         return np.zeros((g.n, 0), dtype=np.int64)
-    cols = [bfs_distances(g, a) for a in anchors.anchors]
-    return np.stack(cols, axis=1)
-
-
-def _all_pairs_distances(g: Graph) -> np.ndarray:
-    dist = shortest_path(g.to_sparse(), method="D", directed=False, unweighted=True)
-    if np.any(np.isinf(dist)):
-        raise ConnectivityError("graph is not connected")
-    return dist
+    return np.ascontiguousarray(_bfs(g, anchors.anchors).T)
 
 
 def _triangles_per_vertex(g: Graph) -> np.ndarray:
@@ -401,9 +390,18 @@ def structural_stats(g: Graph) -> GraphStats:
     if g.n < 2:
         raise ValueError("structural statistics need at least two vertices")
     degs = g.degrees().astype(np.float64)
-    dist = _all_pairs_distances(g)
-    iu = np.triu_indices(g.n, k=1)
-    pair_dists = dist[iu]
+    # Distance rows are streamed in chunks; the total is an exact integer,
+    # so the mean equals the mean over the dense upper triangle.
+    diameter = 0
+    distance_total = 0
+    for start in range(0, g.n, _STATS_CHUNK):
+        try:
+            rows = _bfs(g, range(start, min(start + _STATS_CHUNK, g.n)))
+        except ConnectivityError:
+            raise ConnectivityError("graph is not connected") from None
+        diameter = max(diameter, int(rows.max()))
+        distance_total += int(rows.sum())
+    pair_count = g.n * (g.n - 1) // 2
     tri = _triangles_per_vertex(g)
 
     clustering = np.zeros(g.n, dtype=np.float64)
@@ -425,8 +423,8 @@ def structural_stats(g: Graph) -> GraphStats:
         edge_count=g.edge_count,
         avg_degree=float(degs.mean()),
         density=2.0 * g.edge_count / (g.n * (g.n - 1)),
-        diameter=int(pair_dists.max()),
-        avg_shortest_path_length=float(pair_dists.mean()),
+        diameter=diameter,
+        avg_shortest_path_length=distance_total // 2 / pair_count,
         avg_clustering=float(clustering.mean()),
         transitivity=transitivity,
         degree_variance=float(np.var(degs)),

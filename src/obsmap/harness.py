@@ -10,14 +10,15 @@ regimes, which the bucketwise comparisons rely on.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
 import math
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -288,7 +289,7 @@ class SweepConfig:
                                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One executed grid cell: the ConfigPoint fields, the graph seed, and
     the metrics. Metric fields are None when the trial failed (failure holds
@@ -342,9 +343,15 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Records in grid order; aggregates, keyed by grid cell, are computed
+    from them on first access."""
+
     config: SweepConfig
     records: tuple[TrialRecord, ...]
-    aggregates: Mapping[tuple, Aggregate]
+
+    @cached_property
+    def aggregates(self) -> Mapping[tuple, Aggregate]:
+        return _aggregate(self.records)
 
 
 @dataclass(frozen=True)
@@ -672,16 +679,18 @@ def run_sweep(
             if progress is not None:
                 progress(done, total)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # concurrent.futures loads its process pool (and multiprocessing) on
+        # this first attribute access, so serial sweeps never import it.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_job, *args) for args in batch_list]
-            for fut in as_completed(futures):
+            for fut in concurrent.futures.as_completed(futures):
                 for idx, rec in fut.result():
                     records[idx] = rec
                 done += 1
                 if progress is not None:
                     progress(done, total)
     final = tuple(records)  # type: ignore[arg-type]
-    return SweepResult(config=cfg, records=final, aggregates=_aggregate(final))
+    return SweepResult(config=cfg, records=final)
 
 
 def _match_eta(cfg: SweepConfig, eta: str | float) -> str:
@@ -696,15 +705,26 @@ def _match_eta(cfg: SweepConfig, eta: str | float) -> str:
     return candidates[0]
 
 
+def _threshold_k(mean_errors: Mapping[int, float | None], threshold: float) -> int | None:
+    """The k_emp rule: the smallest k whose mean error is at or below the
+    threshold. A k cell with no usable rows (mean None) cannot qualify;
+    None when no k does (no extrapolation beyond the grid)."""
+    for k in sorted(mean_errors):
+        mean = mean_errors[k]
+        if mean is not None and mean <= threshold:
+            return k
+    return None
+
+
 def k_emp(
     result: SweepResult, n: int, m: int, eta: str | float,
     threshold: float | None = None,
 ) -> int | None:
     """Smallest tested k whose mean error is at or below the threshold.
 
-    Scans the configured k grid in ascending order; returns None when no
-    tested k qualifies (no extrapolation beyond the grid). Every k cell
-    must carry at least one successful record.
+    Scans the configured k grid in ascending order by the rule kemp_table
+    applies to CSV rows: a k cell without successful records cannot
+    qualify, and None means no tested k qualifies.
     """
     cfg = result.config
     if threshold is None:
@@ -714,15 +734,11 @@ def k_emp(
         raise ValueError(f"n={n} not in the sweep grid")
     if m not in cfg.m_list:
         raise ValueError(f"m={m} not in the sweep grid")
-    for k in sorted(set(cfg.k_list)):
+    means = {}
+    for k in cfg.k_list:
         agg = result.aggregates.get(_grid_key(cfg, n=n, k=k, m=m, eta=eta_key))
-        if agg is None or "error" not in agg.means:
-            raise ValueError(
-                f"no successful records for n={n} k={k} m={m} eta={eta_key}"
-            )
-        if agg.means["error"] <= threshold:
-            return k
-    return None
+        means[k] = None if agg is None else agg.means.get("error")
+    return _threshold_k(means, threshold)
 
 
 def _format_cell(value: object) -> str:
@@ -837,19 +853,15 @@ def kemp_table(rows: Sequence[Mapping[str, str]], threshold: float) -> list[Kemp
     out = []
     for (n, m, eta) in sorted(cells, key=lambda g: (g[0], g[1], float(g[2]), g[2])):
         by_k = cells[(n, m, eta)]
-        k_hit = None
-        hit_rows: list[Mapping[str, str]] = []
-        for k in sorted(by_k):
-            errors = [e for e in (_try_float(r["error"]) for r in by_k[k]) if e is not None]
-            if not errors:
-                continue
-            if sum(errors) / len(errors) <= threshold:
-                k_hit = k
-                hit_rows = by_k[k]
-                break
+        means = {}
+        for k, k_rows in by_k.items():
+            errors = [e for e in (_try_float(r["error"]) for r in k_rows) if e is not None]
+            means[k] = sum(errors) / len(errors) if errors else None
+        k_hit = _threshold_k(means, threshold)
         if k_hit is None:
             out.append(KempRow(n, m, eta, None, None, None, None, None))
             continue
+        hit_rows = by_k[k_hit]
 
         def cell_mean(col: str) -> float | None:
             values = [v for v in (_try_float(r[col]) for r in hit_rows) if v is not None]

@@ -6,20 +6,29 @@ sharing a full observation form a fiber; vertices sharing just the distance
 profile form a bucket, so the spectral codes refine the buckets. The best
 possible reconstruction answers one vertex per fiber, which makes the
 optimal error 1 - (number of fibers) / n.
+
+Both partitions come from one grouping kernel over int64 matrices (buckets
+from the profile matrix, fibers from bucket ids beside the code matrix), and
+every statistic is computed from group ids and sizes. Tuple-keyed views are
+built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import AnchorSet, Graph, anchor_profile
-from .spectral import QuantizedCodes
+
+if TYPE_CHECKING:
+    from .spectral import QuantizedCodes
 
 __all__ = [
+    "Groups",
     "ObservationTable",
     "FiberStats",
     "BucketRow",
@@ -44,21 +53,112 @@ Observation = tuple[Profile, Code]
 # collisions have room to matter.
 BUCKET_CUTOFFS = (2, 3, 10)
 
+# Ceiling of the packed int64 row key; below 2**63 with room to spare.
+_KEY_LIMIT = 1 << 62
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
+class Groups:
+    """The partition of matrix rows into groups of equal rows.
+
+    Groups are numbered in order of first appearance: ids[v] is the group of
+    row v, first[i] the smallest row in group i, and sizes[i] its size.
+    """
+
+    ids: np.ndarray
+    first: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def members(self) -> list[tuple[int, ...]]:
+        """The ascending rows of each group, in group order."""
+        order = np.argsort(self.ids, kind="stable").tolist()
+        out = []
+        start = 0
+        for end in np.cumsum(self.sizes).tolist():
+            out.append(tuple(order[start:end]))
+            start = end
+        return out
+
+
+def _group_rows(matrix: np.ndarray) -> Groups:
+    """Group the equal rows of an (n, w) integer matrix.
+
+    Packs each row into one int64 key, column by column: the key so far
+    times the column's value span, plus the column value minus its minimum.
+    Before the key could reach _KEY_LIMIT it is replaced by its rank among
+    the distinct keys so far, and if that is still too wide the column is
+    replaced by its rank too; ranks never exceed n, so any n below 2**31
+    fits. One sort of the key then yields the groups. w = 0 puts every row
+    in one group.
+    """
+    matrix = np.asarray(matrix, dtype=np.int64)
+    n, w = matrix.shape
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1  # key values lie in [0, bound)
+    for j in range(w if n else 0):
+        col = matrix[:, j]
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span >= _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = distinct.size
+        if bound * span >= _KEY_LIMIT:
+            distinct, col = np.unique(col, return_inverse=True)
+            lo, span = 0, distinct.size
+        key = key * span + (col - lo)
+        bound *= span
+    _, first, inverse, sizes = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    # np.unique numbers groups by key value; renumber by first appearance.
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return Groups(ids=rank[inverse], first=first[order], sizes=sizes[order])
+
+
+@dataclass(frozen=True, eq=False)
 class ObservationTable:
     """Per-vertex observations with their fiber and bucket partitions.
 
-    profiles[v] and codes[v] are the distance tuple and code tuple of
-    vertex v. fibers maps (profile, code) to the sorted tuple of member
-    vertices; buckets does the same for profile alone.
+    profile_matrix (n, k) and code_matrix (n, m) hold each vertex's distance
+    profile and code row; fiber_groups partitions the vertices by the full
+    observation and bucket_groups by the profile alone.
+
+    The tuple views are built on first access: profiles[v] and codes[v] are
+    the distance tuple and code tuple of vertex v; fibers maps (profile,
+    code) to the sorted tuple of member vertices and buckets does the same
+    for profile alone, both in order of first appearance.
     """
 
     n: int
-    profiles: tuple[Profile, ...]
-    codes: tuple[Code, ...]
-    fibers: Mapping[Observation, tuple[int, ...]]
-    buckets: Mapping[Profile, tuple[int, ...]]
+    profile_matrix: np.ndarray
+    code_matrix: np.ndarray
+    fiber_groups: Groups
+    bucket_groups: Groups
+
+    @cached_property
+    def profiles(self) -> tuple[Profile, ...]:
+        return tuple(map(tuple, self.profile_matrix.tolist()))
+
+    @cached_property
+    def codes(self) -> tuple[Code, ...]:
+        return tuple(map(tuple, self.code_matrix.tolist()))
+
+    @cached_property
+    def fibers(self) -> Mapping[Observation, tuple[int, ...]]:
+        members = self.fiber_groups.members()
+        return {
+            (self.profiles[vs[0]], self.codes[vs[0]]): vs for vs in members
+        }
+
+    @cached_property
+    def buckets(self) -> Mapping[Profile, tuple[int, ...]]:
+        members = self.bucket_groups.members()
+        return {self.profiles[vs[0]]: vs for vs in members}
 
 
 @dataclass(frozen=True)
@@ -138,36 +238,31 @@ def build_observation(
             f"code table has {codes.n} rows for a graph with {g.n} vertices"
         )
     profile_matrix = anchor_profile(g, anchors)
-    profiles = tuple(tuple(int(d) for d in row) for row in profile_matrix)
-    code_rows = tuple(tuple(int(c) for c in row) for row in codes.codes)
-
-    fiber_members: dict[Observation, list[int]] = {}
-    bucket_members: dict[Profile, list[int]] = {}
-    for v in range(g.n):
-        obs = (profiles[v], code_rows[v])
-        fiber_members.setdefault(obs, []).append(v)
-        bucket_members.setdefault(profiles[v], []).append(v)
-
-    fibers = {obs: tuple(vs) for obs, vs in fiber_members.items()}
-    buckets = {p: tuple(vs) for p, vs in bucket_members.items()}
+    profile_matrix.setflags(write=False)
+    buckets = _group_rows(profile_matrix)
+    # A fiber is a bucket refined by the code row.
+    fibers = _group_rows(np.column_stack([buckets.ids, codes.codes]))
     return ObservationTable(
-        n=g.n, profiles=profiles, codes=code_rows, fibers=fibers, buckets=buckets
+        n=g.n,
+        profile_matrix=profile_matrix,
+        code_matrix=codes.codes,
+        fiber_groups=fibers,
+        bucket_groups=buckets,
     )
 
 
 def fiber_stats(table: ObservationTable) -> FiberStats:
     """Fiber statistics; .error is the optimal exact-recovery error
     1 - |image|/n, the floor no decoder of the observation can beat."""
-    sizes = [len(vs) for vs in table.fibers.values()]
-    image = len(sizes)
+    sizes = table.fiber_groups.sizes
+    image = len(table.fiber_groups)
     n = table.n
-    singletons = sum(1 for s in sizes if s == 1)
     return FiberStats(
         image_size=image,
         success=image / n,
         error=1.0 - image / n,
-        vertex_mean_preimage=sum(s * s for s in sizes) / n,
-        singleton_fraction=singletons / n,
+        vertex_mean_preimage=int(np.dot(sizes, sizes)) / n,
+        singleton_fraction=int(np.count_nonzero(sizes == 1)) / n,
     )
 
 
@@ -244,37 +339,50 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
     q0.9 balance is the nearest-rank 0.9 quantile of bucket balances.
     Inapplicable aggregates are None, not zero.
     """
-    rows: dict[Profile, BucketRow] = {}
-    singleton_vertices = 0
-    for profile, members in table.buckets.items():
-        b = len(members)
-        if b == 1:
-            singleton_vertices += 1
-            continue
-        counts = Counter(table.codes[v] for v in members)
-        same = sum(c * (c - 1) for c in counts.values())
-        rows[profile] = BucketRow(
-            size=b,
-            code_count=len(counts),
-            collision=same / (b * (b - 1)),
-            balance=(len(counts) / b) * max(counts.values()),
+    buckets = table.bucket_groups
+    fibers = table.fiber_groups
+    # Every fiber lies in one bucket; its code classes are that bucket's.
+    fiber_bucket = buckets.ids[fibers.first]
+    code_count = np.bincount(fiber_bucket, minlength=len(buckets))
+    c = fibers.sizes
+    same = np.bincount(fiber_bucket, weights=c * (c - 1), minlength=len(buckets))
+    largest = np.zeros(len(buckets), dtype=np.int64)
+    np.maximum.at(largest, fiber_bucket, c)
+
+    # Non-singleton buckets in first-appearance order; each value is formed
+    # by the same floating-point operations as the per-bucket definitions.
+    multi = np.flatnonzero(buckets.sizes > 1)
+    size = buckets.sizes[multi]
+    code_count = code_count[multi]
+    collision = same[multi] / (size * (size - 1))
+    balance = (code_count / size) * largest[multi]
+    profiles = map(tuple, table.profile_matrix[buckets.first[multi]].tolist())
+    rows = {
+        profile: BucketRow(size=b, code_count=cc, collision=coll, balance=bal)
+        for profile, b, cc, coll, bal in zip(
+            profiles, size.tolist(), code_count.tolist(),
+            collision.tolist(), balance.tolist(),
         )
+    }
 
     levels = []
     for cutoff in BUCKET_CUTOFFS:
-        qual = [r for r in rows.values() if r.size >= cutoff]
-        below = table.n - sum(r.size for r in qual)
-        if qual:
-            weights = [r.size * (r.size - 1) for r in qual]
-            wcoll = sum(w * r.collision for w, r in zip(weights, qual)) / sum(weights)
-            med = float(np.median([r.code_count / r.size for r in qual]))
-            q90 = _nearest_rank_q90([r.balance for r in qual])
+        qual = size >= cutoff
+        b = size[qual]
+        below = table.n - int(b.sum())
+        if b.size:
+            weights = b * (b - 1)
+            # Python's left-to-right sum: np.sum adds pairwise, which would
+            # change the last bits.
+            wcoll = sum((weights * collision[qual]).tolist()) / int(weights.sum())
+            med = float(np.median(code_count[qual] / b))
+            q90 = _nearest_rank_q90(balance[qual].tolist())
         else:
             wcoll = med = q90 = None
         levels.append(
             BucketLevel(
                 cutoff=cutoff,
-                bucket_count=len(qual),
+                bucket_count=int(b.size),
                 below_cutoff_vertex_fraction=below / table.n,
                 weighted_collision=wcoll,
                 median_code_ratio=med,
@@ -286,5 +394,5 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
         n=table.n,
         rows=rows,
         levels=tuple(levels),
-        singleton_vertex_fraction=singleton_vertices / table.n,
+        singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / table.n,
     )

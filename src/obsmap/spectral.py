@@ -24,6 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .graphs import Graph
+from .observation import _group_rows
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -322,9 +323,7 @@ def quantize_relative(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
 
 def codebook_size(codes: QuantizedCodes) -> int:
     """Number of distinct code rows; 1 for an m=0 code table."""
-    if codes.m == 0:
-        return 1 if codes.n > 0 else 0
-    return int(np.unique(codes.codes, axis=0).shape[0])
+    return len(_group_rows(codes.codes))
 
 
 def write_basis_tsv(basis: SpectralBasis, path: str) -> None:

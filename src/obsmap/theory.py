@@ -117,8 +117,8 @@ def bound_report(
         diagnostics = bucket_diagnostics(table)
     if codebook is None:
         codebook = codebook_size(codes)
-    image = len(table.fibers)
-    profiles = len(table.buckets)
+    image = len(table.fiber_groups)
+    profiles = len(table.bucket_groups)
     generic = profiles * codebook
     parts = _refined_parts(diagnostics)
     if parts is None:

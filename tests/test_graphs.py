@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse.csgraph import shortest_path
+
+from obsmap import graphs
 from obsmap.graphs import (
     AnchorSet,
     ConnectivityError,
@@ -97,6 +100,17 @@ class TestGraphFromEdges:
         assert g.edge_count == 3
         assert g.degrees().tolist() == [2, 2, 1, 1]
 
+    def test_csr_built_once_and_read_only(self):
+        g = graph_from_edges(4, [(2, 0), (0, 1), (3, 1)])
+        csr = g.to_sparse()
+        assert g.to_sparse() is csr
+        assert [tuple(csr.indices[csr.indptr[v]:csr.indptr[v + 1]]) for v in range(4)] == list(
+            g.adjacency
+        )
+        assert csr.data.tolist() == [1.0] * 6
+        with pytest.raises(ValueError):
+            csr.indices[0] = 3
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             graph_from_edges(3, [(1, 1)])
@@ -177,8 +191,10 @@ class TestBfs:
 
     def test_unreachable_raises(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError, match="^vertex 2 unreachable from source 0$"):
             bfs_distances(g, 0)
+        with pytest.raises(ConnectivityError, match="^vertex 0 unreachable from source 3$"):
+            bfs_distances(g, 3)
 
     def test_source_out_of_range(self):
         with pytest.raises(ValueError):
@@ -209,6 +225,13 @@ class TestAnchorProfile:
     def test_empty_anchor_set(self):
         prof = anchor_profile(path_graph(3), AnchorSet(()))
         assert prof.shape == (3, 0)
+
+    def test_unreachable_names_first_failing_anchor(self):
+        g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        with pytest.raises(ConnectivityError, match="^vertex 2 unreachable from source 0$"):
+            anchor_profile(g, AnchorSet((0, 2)))
+        with pytest.raises(ConnectivityError, match="^vertex 0 unreachable from source 3$"):
+            anchor_profile(g, AnchorSet((3, 0)))
 
 
 class TestFromEdgeList:
@@ -336,6 +359,18 @@ class TestStructuralStats:
     def test_disconnected_rejected(self):
         with pytest.raises(ConnectivityError):
             structural_stats(graph_from_edges(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunked_rows_match_dense_matrix(self, seed, monkeypatch):
+        g = random_connected_graph(seed, n_min=20, n_max=60)
+        dense = shortest_path(g.to_sparse(), unweighted=True)
+        upper = dense[np.triu_indices(g.n, k=1)]
+        whole = structural_stats(g)
+        monkeypatch.setattr(graphs, "_STATS_CHUNK", 7)  # smaller than n
+        chunked = structural_stats(g)
+        assert chunked == whole
+        assert chunked.diameter == int(upper.max())
+        assert chunked.avg_shortest_path_length == float(upper.mean())
 
 
 def test_write_token_map(tmp_path):

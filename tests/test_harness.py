@@ -456,6 +456,25 @@ class TestKemp:
         res = self.sweep()
         assert k_emp(res, 200, 0, 0.1, threshold=1.0) == 1
 
+    def test_cell_without_successful_rows_cannot_qualify(self, monkeypatch, tmp_path):
+        real = harness.select_anchors
+
+        def failing_k1(g, k, strategy, seed):
+            if k == 1:
+                raise RuntimeError("synthetic")
+            return real(g, k, strategy, seed)
+
+        monkeypatch.setattr(harness, "select_anchors", failing_k1)
+        cfg = SweepConfig(
+            n_list=(40,), k_list=(1, 6), m_list=(0,), eta_list=("0.5",), trials=4, seed=0,
+        )
+        res = run_sweep(cfg)
+        assert all(r.failure is not None for r in res.records if r.k == 1)
+        path = tmp_path / "rows.csv"
+        write_csv(res, str(path))
+        assert k_emp(res, 40, 0, "0.5") == 6
+        assert kemp_table(read_csv_rows(str(path)), cfg.error_threshold)[0].k_emp == 6
+
 
 class TestKempTable:
     def row(self, n, m, eta, k, error, **extra):

@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsmap.graphs import AnchorSet, random_regular
+from obsmap.graphs import (
+    AnchorSet,
+    anchor_profile,
+    from_edge_list,
+    largest_connected_component,
+    random_regular,
+)
 from obsmap.observation import (
     BUCKET_CUTOFFS,
+    BucketDiagnostics,
+    BucketLevel,
+    BucketRow,
+    FiberStats,
+    _group_rows,
     bucket_balance,
     bucket_collision,
     bucket_diagnostics,
@@ -22,6 +34,7 @@ from obsmap.observation import (
 )
 from obsmap.spectral import (
     QuantizedCodes,
+    codebook_size,
     empty_embedding,
     energy_embedding,
     low_frequency_basis,
@@ -358,3 +371,188 @@ def test_near_injective_regime_matches_published_row():
     # stay inside an order of magnitude of the published value
     mean_wcoll = sum(wcolls) / len(wcolls)
     assert 4.45e-5 <= mean_wcoll <= 4.45e-3
+
+
+# Dict/Counter reference implementation of the observation join and its
+# statistics, built vertex by vertex. The array-native module must agree
+# with it exactly, float bits included.
+
+
+def ref_join(profile_rows, code_rows):
+    fibers, buckets = {}, {}
+    for v, (p, c) in enumerate(zip(profile_rows, code_rows)):
+        fibers.setdefault((p, c), []).append(v)
+        buckets.setdefault(p, []).append(v)
+    return (
+        {obs: tuple(vs) for obs, vs in fibers.items()},
+        {p: tuple(vs) for p, vs in buckets.items()},
+    )
+
+
+def ref_fiber_stats(fibers, n):
+    sizes = [len(vs) for vs in fibers.values()]
+    return FiberStats(
+        image_size=len(sizes),
+        success=len(sizes) / n,
+        error=1.0 - len(sizes) / n,
+        vertex_mean_preimage=sum(s * s for s in sizes) / n,
+        singleton_fraction=sum(1 for s in sizes if s == 1) / n,
+    )
+
+
+def ref_bucket_diagnostics(buckets, code_rows, n):
+    rows = {}
+    singletons = 0
+    for profile, members in buckets.items():
+        b = len(members)
+        if b == 1:
+            singletons += 1
+            continue
+        counts = Counter(code_rows[v] for v in members)
+        same = sum(c * (c - 1) for c in counts.values())
+        rows[profile] = BucketRow(
+            size=b,
+            code_count=len(counts),
+            collision=same / (b * (b - 1)),
+            balance=(len(counts) / b) * max(counts.values()),
+        )
+    levels = []
+    for cutoff in BUCKET_CUTOFFS:
+        qual = [r for r in rows.values() if r.size >= cutoff]
+        if qual:
+            weights = [r.size * (r.size - 1) for r in qual]
+            wcoll = sum(w * r.collision for w, r in zip(weights, qual)) / sum(weights)
+            med = float(np.median([r.code_count / r.size for r in qual]))
+            balances = sorted(r.balance for r in qual)
+            q90 = balances[int(np.ceil(0.9 * len(balances))) - 1]
+        else:
+            wcoll = med = q90 = None
+        levels.append(BucketLevel(
+            cutoff=cutoff,
+            bucket_count=len(qual),
+            below_cutoff_vertex_fraction=(n - sum(r.size for r in qual)) / n,
+            weighted_collision=wcoll,
+            median_code_ratio=med,
+            q90_balance=q90,
+        ))
+    return BucketDiagnostics(
+        n=n, rows=rows, levels=tuple(levels), singleton_vertex_fraction=singletons / n
+    )
+
+
+INT64 = np.iinfo(np.int64)
+
+# Per-column value pools. "narrow" collides often and goes negative;
+# "moderate" spans 2**26 per column, so a few columns overflow the packed
+# key and force the key re-ranking path; "wide" spans the whole int64
+# range, which forces re-ranking the column as well.
+CODE_RANGES = ("narrow", "moderate", "wide")
+
+
+def synthetic_codes(seed: int, n: int, m: int, code_range: str) -> QuantizedCodes:
+    rng = np.random.default_rng(seed)
+    if code_range == "narrow":
+        pool = rng.integers(-3, 4, size=(m, 4))
+    elif code_range == "moderate":
+        pool = rng.integers(-(2**25), 2**25, size=(m, 4), endpoint=True)
+        pool[:, :2] = (-(2**25), 2**25)
+    else:
+        pool = rng.integers(INT64.min, INT64.max, size=(m, 4), dtype=np.int64, endpoint=True)
+        pool[:, :2] = (INT64.min, INT64.max)
+    picks = rng.integers(0, 4, size=(n, m))
+    return codes_from_rows(pool[np.arange(m), picks].reshape(n, m).tolist())
+
+
+@st.composite
+def regular_graphs(draw):
+    r = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(r + 1, 40).filter(lambda v: v * r % 2 == 0))
+    return random_regular(n, r, draw(st.integers(0, 10**6)))
+
+
+@st.composite
+def edge_list_graphs(draw):
+    pairs = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=50))
+    parsed = from_edge_list(f"v{u} v{v}" for u, v in pairs)
+    return largest_connected_component(parsed.graph)
+
+
+@st.composite
+def instances(draw):
+    g = draw(st.one_of(regular_graphs(), edge_list_graphs()))
+    anchors = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=min(4, g.n)))
+    m = draw(st.integers(0, 3))
+    codes = synthetic_codes(draw(st.integers(0, 10**6)), g.n, m, draw(st.sampled_from(CODE_RANGES)))
+    return g, AnchorSet(tuple(anchors)), codes
+
+
+class TestArrayNativeMatchesReference:
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_join_statistics_and_codebook(self, instance):
+        g, anchors, codes = instance
+        table = build_observation(g, anchors, codes)
+        profile_rows = [tuple(int(d) for d in row) for row in anchor_profile(g, anchors)]
+        code_rows = [tuple(int(c) for c in row) for row in codes.codes]
+        fibers, buckets = ref_join(profile_rows, code_rows)
+
+        assert table.profiles == tuple(profile_rows)
+        assert table.codes == tuple(code_rows)
+        assert list(table.fibers.items()) == list(fibers.items())
+        assert list(table.buckets.items()) == list(buckets.items())
+        assert fiber_stats(table) == ref_fiber_stats(fibers, g.n)
+        diag = bucket_diagnostics(table)
+        assert diag == ref_bucket_diagnostics(buckets, code_rows, g.n)
+        assert list(diag.rows) == [p for p, vs in buckets.items() if len(vs) > 1]
+        assert codebook_size(codes) == len(set(code_rows))
+
+    def test_k0_and_m0_is_one_fiber(self):
+        g = random_regular(10, 3, 1)
+        table = build_observation(g, AnchorSet(()), no_codes(g.n))
+        assert table.fibers == {((), ()): tuple(range(10))}
+        assert fiber_stats(table) == ref_fiber_stats(table.fibers, 10)
+        assert codebook_size(no_codes(g.n)) == 1
+
+
+def ref_groups(rows):
+    """(ids, first, sizes) from a dict walk in first-appearance order."""
+    index, first, sizes, ids = {}, [], [], []
+    for v, row in enumerate(rows):
+        if row not in index:
+            index[row] = len(first)
+            first.append(v)
+            sizes.append(0)
+        ids.append(index[row])
+        sizes[index[row]] += 1
+    return ids, first, sizes
+
+
+class TestGroupingKernel:
+    @pytest.mark.parametrize("rows", [
+        np.zeros((5, 0), dtype=np.int64),  # w = 0: one group
+        np.zeros((0, 3), dtype=np.int64),  # no rows: no groups
+        np.array([[-1, 2], [-1, 2], [3, -4], [-1, 3]]),
+        np.array([[INT64.min], [INT64.max], [INT64.min], [0]]),  # column re-rank
+        np.array([[INT64.min, INT64.max], [INT64.max, INT64.min], [INT64.min, INT64.max]]),
+        np.array([[0] * 5 + [2**20], [2**20] * 6, [0] * 6, [0] * 5 + [2**20]]),  # key re-rank
+    ])
+    def test_matches_dict_walk(self, rows):
+        groups = _group_rows(rows)
+        ids, first, sizes = ref_groups([tuple(r) for r in rows.tolist()])
+        assert groups.ids.tolist() == ids
+        assert groups.first.tolist() == first
+        assert groups.sizes.tolist() == sizes
+        assert len(groups) == len(sizes)
+        assert groups.members() == [
+            tuple(v for v in range(len(ids)) if ids[v] == i) for i in range(len(sizes))
+        ]
+
+    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 6), st.sampled_from(CODE_RANGES))
+    @settings(max_examples=100, deadline=None)
+    def test_random_matrices(self, seed, n, w, code_range):
+        rows = synthetic_codes(seed, n, w, code_range).codes
+        groups = _group_rows(rows)
+        ids, first, sizes = ref_groups([tuple(r) for r in rows.tolist()])
+        assert (groups.ids.tolist(), groups.first.tolist(), groups.sizes.tolist()) == (
+            ids, first, sizes
+        )
