@@ -39,8 +39,6 @@ from .observation import (
     BucketDiagnostics,
     FiberStats,
     ObservationTable,
-    bucket_balance,
-    bucket_collision,
     bucket_diagnostics,
     build_observation,
     fiber_stats,

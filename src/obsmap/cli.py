@@ -16,6 +16,8 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .graphs import (
     ConnectivityError,
     EdgeListParseError,
@@ -28,6 +30,9 @@ from .graphs import (
     write_edge_list,
 )
 from .harness import (
+    FEATURES,
+    QUANTIZERS,
+    STRATEGIES,
     SweepConfig,
     _GraphCodes,
     analyze_records,
@@ -100,10 +105,10 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_observation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--anchors", type=int, required=True, metavar="K", help="anchor count (at least 1)")
-    parser.add_argument("--strategy", default="random", choices=("random", "degree", "farthest"), help="anchor selection strategy")
+    parser.add_argument("--strategy", default="random", choices=STRATEGIES, help="anchor selection strategy")
     parser.add_argument("--m", type=int, default=0, help="spectral embedding width")
     parser.add_argument("--eta", default="0.1", help="quantization scale (decimal string, kept verbatim)")
-    parser.add_argument("--quantizer", default="absolute", choices=("absolute", "relative"), help="quantization rule")
+    parser.add_argument("--quantizer", default="absolute", choices=QUANTIZERS, help="quantization rule")
     parser.add_argument("--scaled", default="true", metavar="BOOL", help="scale embedding entries by n (true/false)")
 
 
@@ -215,14 +220,15 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
                 print(f"{prefix}.{name} n/a")
             else:
                 print(f"{prefix}.{name} {value:.6g}")
-    rows = sorted(diag.rows.items(), key=lambda kv: (-kv[1].size, kv[0]))
-    if rows and args.top > 0:
+    if diag.sizes.size and args.top > 0:
         print("largest buckets (profile size codes collision balance):")
-        for profile, row in rows[: args.top]:
-            label = ",".join(str(d) for d in profile)
+        # Size descending, then profile ascending; lexsort's last key is primary.
+        order = np.lexsort((*diag.profiles.T[::-1], -diag.sizes))[: args.top]
+        for i in order.tolist():
+            label = ",".join(str(d) for d in diag.profiles[i].tolist())
             print(
-                f"  ({label}) {row.size} {row.code_count} "
-                f"{row.collision:.6g} {row.balance:.6g}"
+                f"  ({label}) {diag.sizes[i]} {diag.code_counts[i]} "
+                f"{diag.collisions[i]:.6g} {diag.balances[i]:.6g}"
             )
     return 0
 
@@ -344,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="graphs per grid cell")
     p.add_argument("--resamples", type=int, help="anchor draws per graph")
     p.add_argument("--r", type=int, help="regular degree")
-    p.add_argument("--quantizer", choices=("absolute", "relative"))
+    p.add_argument("--quantizer", choices=QUANTIZERS)
     p.add_argument("--scaled", metavar="BOOL", help="true/false")
-    p.add_argument("--feature", choices=("nope", "distance", "spectral", "full"))
-    p.add_argument("--strategy", choices=("random", "degree", "farthest"))
+    p.add_argument("--feature", choices=FEATURES)
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--threshold", type=float, help="error threshold for k_emp")
     p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = [
@@ -313,14 +313,9 @@ def largest_connected_component(g: Graph) -> Graph:
     # The smallest id lying in a component of the largest size picks the winner.
     first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
     keep = np.flatnonzero(labels == labels[first])
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    edges = [
-        (int(remap[u]), int(remap[v]))
-        for u, v in g.edges()
-        if remap[u] >= 0
-    ]
-    return graph_from_edges(keep.size, edges)
+    # Slicing rows and columns by the ascending keep re-indexes both ends.
+    upper = triu(g.to_sparse()[keep][:, keep], format="coo")
+    return graph_from_edges(keep.size, zip(upper.row.tolist(), upper.col.tolist()))
 
 
 def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:

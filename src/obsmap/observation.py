@@ -15,10 +15,9 @@ built only when a caller reads them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "Groups",
     "ObservationTable",
     "FiberStats",
-    "BucketRow",
     "BucketLevel",
     "BucketDiagnostics",
     "BUCKET_CUTOFFS",
@@ -39,8 +37,6 @@ __all__ = [
     "fiber_stats",
     "min_id_section",
     "section_success",
-    "bucket_collision",
-    "bucket_balance",
     "bucket_diagnostics",
 ]
 
@@ -178,16 +174,6 @@ class FiberStats:
 
 
 @dataclass(frozen=True)
-class BucketRow:
-    """Diagnostics of one non-singleton bucket."""
-
-    size: int
-    code_count: int
-    collision: float
-    balance: float
-
-
-@dataclass(frozen=True)
 class BucketLevel:
     """Aggregates over buckets at one size cutoff.
 
@@ -205,16 +191,25 @@ class BucketLevel:
     q90_balance: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BucketDiagnostics:
-    """Per-bucket rows plus cutoff-level aggregates.
+    """Per-bucket arrays plus cutoff-level aggregates.
 
-    rows holds every non-singleton bucket keyed by its distance profile.
-    levels holds one BucketLevel per cutoff in BUCKET_CUTOFFS, in order.
+    The arrays cover the B non-singleton buckets in order of first
+    appearance: profiles (B, k) holds each bucket's distance profile, sizes
+    its member count b, code_counts its number M of distinct code rows,
+    collisions the probability that two distinct members share a code row
+    (ordered pairs with equal rows over b(b-1)), and balances (M / b) times
+    its largest code-class size (1 for uniform occupancy). levels holds one
+    BucketLevel per cutoff in BUCKET_CUTOFFS, in order.
     """
 
     n: int
-    rows: Mapping[Profile, BucketRow]
+    profiles: np.ndarray
+    sizes: np.ndarray
+    code_counts: np.ndarray
+    collisions: np.ndarray
+    balances: np.ndarray
     levels: tuple[BucketLevel, ...]
     singleton_vertex_fraction: float
 
@@ -289,41 +284,6 @@ def section_success(
     return hits / table.n
 
 
-def _member_code_counts(bucket: Sequence[int], codes: QuantizedCodes) -> Counter:
-    counts: Counter = Counter()
-    for v in bucket:
-        if not (0 <= v < codes.n):
-            raise ValueError(f"vertex {v} out of range for a {codes.n}-row code table")
-        counts[tuple(int(c) for c in codes.codes[v])] += 1
-    return counts
-
-
-def bucket_collision(bucket: Sequence[int], codes: QuantizedCodes) -> float:
-    """Probability two distinct bucket members share a spectral code row.
-
-    Counts ordered pairs: (1/(b(b-1))) times the number of ordered pairs
-    u != v with identical code rows. Needs at least two members.
-    """
-    b = len(bucket)
-    if b < 2:
-        raise ValueError("collision needs a bucket with at least two members")
-    counts = _member_code_counts(bucket, codes)
-    same = sum(c * (c - 1) for c in counts.values())
-    return same / (b * (b - 1))
-
-
-def bucket_balance(bucket: Sequence[int], codes: QuantizedCodes) -> float:
-    """(M / b) times the largest code-class size; 1 for uniform occupancy.
-
-    M is the number of distinct code rows among the b bucket members.
-    """
-    b = len(bucket)
-    if b < 1:
-        raise ValueError("balance needs a non-empty bucket")
-    counts = _member_code_counts(bucket, codes)
-    return (len(counts) / b) * max(counts.values())
-
-
 def _nearest_rank_q90(values: list[float]) -> float:
     ordered = sorted(values)
     idx = int(np.ceil(0.9 * len(ordered))) - 1
@@ -349,21 +309,12 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
     largest = np.zeros(len(buckets), dtype=np.int64)
     np.maximum.at(largest, fiber_bucket, c)
 
-    # Non-singleton buckets in first-appearance order; each value is formed
-    # by the same floating-point operations as the per-bucket definitions.
+    # Non-singleton buckets in first-appearance order.
     multi = np.flatnonzero(buckets.sizes > 1)
     size = buckets.sizes[multi]
     code_count = code_count[multi]
     collision = same[multi] / (size * (size - 1))
     balance = (code_count / size) * largest[multi]
-    profiles = map(tuple, table.profile_matrix[buckets.first[multi]].tolist())
-    rows = {
-        profile: BucketRow(size=b, code_count=cc, collision=coll, balance=bal)
-        for profile, b, cc, coll, bal in zip(
-            profiles, size.tolist(), code_count.tolist(),
-            collision.tolist(), balance.tolist(),
-        )
-    }
 
     levels = []
     for cutoff in BUCKET_CUTOFFS:
@@ -392,7 +343,11 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
 
     return BucketDiagnostics(
         n=table.n,
-        rows=rows,
+        profiles=table.profile_matrix[buckets.first[multi]],
+        sizes=size,
+        code_counts=code_count,
+        collisions=collision,
+        balances=balance,
         levels=tuple(levels),
         singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / table.n,
     )

@@ -112,7 +112,7 @@ class SpectralBasis:
         return SpectralBasis(
             eigenvalues=_readonly(vals[:-1].copy()),
             vectors=_readonly(self.vectors[:, : m + 1].copy()),
-            degeneracy_flag=_degenerate(vals, DEGENERACY_TOL),
+            degeneracy_flag=_degenerate(vals),
             next_eigenvalue=float(vals[-1]),
         )
 
@@ -176,13 +176,13 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix(sp.identity(g.n, format="csr") - scale @ g.to_sparse() @ scale)
 
 
-def _degenerate(vals: np.ndarray, tol: float) -> bool:
-    """Whether adjacent nontrivial eigenvalues among vals[1:] lie within tol,
-    relative to their size."""
+def _degenerate(vals: np.ndarray) -> bool:
+    """Whether adjacent nontrivial eigenvalues among vals[1:] lie within
+    DEGENERACY_TOL, relative to their size."""
     nontrivial = vals[1:]
     gaps = np.diff(nontrivial)
     scale = np.maximum(1.0, np.abs(nontrivial[1:]))
-    return bool(np.any(gaps < tol * scale))
+    return bool(np.any(gaps < DEGENERACY_TOL * scale))
 
 
 def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,23 +209,20 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
     return vals[order], vecs[:, order]
 
 
-def low_frequency_basis(
-    op: sp.spmatrix | np.ndarray, m: int, tol: float = DEGENERACY_TOL
-) -> SpectralBasis:
+def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
     """Bottom m+1 eigenpairs of a symmetric PSD operator, ascending.
 
     Solves densely up to n=400 and by Lanczos above, in both cases one pair
     more than retained (when n allows) so the flag sees the boundary gap.
     Every solved eigenpair is residual-checked against the operator; column
     signs are canonicalized (first entry above 1e-12 in absolute value is
-    made positive). The Lanczos start vector is fixed, so repeated calls
-    give bit-identical results.
+    made positive); relative gaps below DEGENERACY_TOL set the flag. The
+    Lanczos start vector is fixed, so repeated calls give bit-identical
+    results.
 
     Args:
         op: symmetric operator, typically a normalized Laplacian.
         m: number of nontrivial eigenpairs to retain; m+1 must not exceed n.
-        tol: relative gap below which adjacent nontrivial eigenvalues, the
-            first dropped one included, are flagged degenerate.
 
     Raises:
         EigenSolverError: the solve did not converge or a residual exceeds
@@ -256,7 +253,7 @@ def low_frequency_basis(
     return SpectralBasis(
         eigenvalues=_readonly(vals[: m + 1].copy()),
         vectors=_readonly(vecs[:, : m + 1].copy()),
-        degeneracy_flag=_degenerate(vals, tol),
+        degeneracy_flag=_degenerate(vals),
         next_eigenvalue=float(vals[m + 1]) if vals.size > m + 1 else None,
     )
 
@@ -326,14 +323,20 @@ def codebook_size(codes: QuantizedCodes) -> int:
     return len(_group_rows(codes.codes))
 
 
-def write_basis_tsv(basis: SpectralBasis, path: str) -> None:
-    """Dump retained eigenvector entries as (vertex, eigenvalue index, value)."""
+def _write_columns_tsv(path: str, columns: np.ndarray, first_index: int) -> None:
+    """Write an (n, w) matrix as (vertex, eigenvalue index, value) lines,
+    column by column, column j under eigenvalue index first_index + j."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("vertex\teigenvalue_index\tvalue\n")
-        for j in range(basis.vectors.shape[1]):
-            col = basis.vectors[:, j]
-            for v in range(basis.n):
-                fh.write(f"{v}\t{j}\t{col[v]:.17g}\n")
+        for j in range(columns.shape[1]):
+            col = columns[:, j]
+            for v in range(columns.shape[0]):
+                fh.write(f"{v}\t{j + first_index}\t{col[v]:.17g}\n")
+
+
+def write_basis_tsv(basis: SpectralBasis, path: str) -> None:
+    """Dump retained eigenvector entries as (vertex, eigenvalue index, value)."""
+    _write_columns_tsv(path, basis.vectors, 0)
 
 
 def write_embedding_tsv(emb: EnergyEmbedding, path: str) -> None:
@@ -342,9 +345,4 @@ def write_embedding_tsv(emb: EnergyEmbedding, path: str) -> None:
     Column j of the embedding corresponds to eigenvalue index j+1 of the
     basis it came from (the trivial vector carries no energy column).
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex\teigenvalue_index\tvalue\n")
-        for j in range(emb.m):
-            col = emb.values[:, j]
-            for v in range(emb.n):
-                fh.write(f"{v}\t{j + 1}\t{col[v]:.17g}\n")
+    _write_columns_tsv(path, emb.values, 1)

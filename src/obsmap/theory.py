@@ -85,13 +85,9 @@ def rho_eng(b: BudgetInputs) -> float:
 
 
 def _refined_parts(diag: BucketDiagnostics) -> tuple[float, float] | None:
-    if not diag.rows:
+    if not diag.sizes.size or diag.collisions.min() <= 0.0:
         return None
-    coll_hat = min(r.collision for r in diag.rows.values())
-    if coll_hat <= 0.0:
-        return None
-    beta_hat = max(r.balance for r in diag.rows.values())
-    return beta_hat, coll_hat
+    return float(diag.balances.max()), float(diag.collisions.min())
 
 
 def bound_report(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from obsmap import graphs
 from obsmap.graphs import (
@@ -309,6 +309,33 @@ class TestLargestConnectedComponent:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             largest_connected_component(graph_from_edges(0, []))
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_edge_loop_reference(self, case):
+        n, pairs = case
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+        g = graph_from_edges(n, sorted(edges))
+        assert largest_connected_component(g) == edge_loop_lcc(g)
+
+
+def edge_loop_lcc(g):
+    """Largest component by re-indexing the kept edges one by one."""
+    _, labels = connected_components(g.to_sparse(), directed=False)
+    sizes = np.bincount(labels)
+    first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
+    keep = np.flatnonzero(labels == labels[first])
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    edges = [(int(remap[u]), int(remap[v])) for u, v in g.edges() if remap[u] >= 0]
+    return graph_from_edges(keep.size, edges)
 
 
 class TestStructuralStats:

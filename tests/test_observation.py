@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obsmap import cli
 from obsmap.graphs import (
     AnchorSet,
     anchor_profile,
@@ -17,15 +18,13 @@ from obsmap.graphs import (
     largest_connected_component,
     random_regular,
 )
+from obsmap.harness import anchor_seed_for, select_anchors
 from obsmap.observation import (
     BUCKET_CUTOFFS,
     BucketDiagnostics,
     BucketLevel,
-    BucketRow,
     FiberStats,
     _group_rows,
-    bucket_balance,
-    bucket_collision,
     bucket_diagnostics,
     build_observation,
     fiber_stats,
@@ -55,6 +54,13 @@ def codes_from_rows(rows) -> QuantizedCodes:
 
 def no_codes(n: int) -> QuantizedCodes:
     return quantize_absolute(empty_embedding(n, scaled=False), 1.0)
+
+
+def one_bucket(rows) -> BucketDiagnostics:
+    """Diagnostics of a table without anchors: one bucket holding every
+    vertex, whose code rows are the given rows."""
+    codes = codes_from_rows(rows)
+    return bucket_diagnostics(build_observation(path_graph(codes.n), AnchorSet(()), codes))
 
 
 def random_instance(seed: int, m: int = 2, eta: float = 0.5):
@@ -183,24 +189,13 @@ class TestOptimalError:
 
 class TestBucketCollision:
     def test_two_of_three_shared(self):
-        codes = codes_from_rows([[1], [1], [2]])
-        assert bucket_collision([0, 1, 2], codes) == pytest.approx(1.0 / 3.0)
+        assert one_bucket([[1], [1], [2]]).collisions[0] == pytest.approx(1.0 / 3.0)
 
     def test_all_equal(self):
-        codes = codes_from_rows([[5], [5], [5], [5]])
-        assert bucket_collision([0, 1, 2, 3], codes) == 1.0
+        assert one_bucket([[5], [5], [5], [5]]).collisions[0] == 1.0
 
     def test_all_distinct(self):
-        codes = codes_from_rows([[1], [2], [3]])
-        assert bucket_collision([0, 1, 2], codes) == 0.0
-
-    def test_singleton_rejected(self):
-        with pytest.raises(ValueError):
-            bucket_collision([0], codes_from_rows([[1]]))
-
-    def test_out_of_range_member(self):
-        with pytest.raises(ValueError):
-            bucket_collision([0, 9], codes_from_rows([[1], [2]]))
+        assert one_bucket([[1], [2], [3]]).collisions[0] == 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -208,7 +203,6 @@ class TestBucketCollision:
         rng = np.random.default_rng(seed)
         b = int(rng.integers(2, 12))
         rows = rng.integers(0, 3, size=(b, 2))
-        codes = codes_from_rows(rows.tolist())
         bucket = list(range(b))
         same = sum(
             1
@@ -216,25 +210,19 @@ class TestBucketCollision:
             for v in bucket
             if u != v and tuple(rows[u]) == tuple(rows[v])
         )
-        assert bucket_collision(bucket, codes) == pytest.approx(same / (b * (b - 1)))
+        diag = one_bucket(rows.tolist())
+        assert diag.collisions[0] == pytest.approx(same / (b * (b - 1)))
 
 
 class TestBucketBalance:
     def test_two_of_three_shared(self):
-        codes = codes_from_rows([[1], [1], [2]])
-        assert bucket_balance([0, 1, 2], codes) == pytest.approx(4.0 / 3.0)
+        assert one_bucket([[1], [1], [2]]).balances[0] == pytest.approx(4.0 / 3.0)
 
     def test_uniform_occupancy(self):
-        codes = codes_from_rows([[1], [2], [3]])
-        assert bucket_balance([0, 1, 2], codes) == 1.0
+        assert one_bucket([[1], [2], [3]]).balances[0] == 1.0
 
     def test_three_of_four_shared(self):
-        codes = codes_from_rows([[1], [1], [1], [2]])
-        assert bucket_balance([0, 1, 2, 3], codes) == 1.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bucket_balance([], codes_from_rows([[1]]))
+        assert one_bucket([[1], [1], [1], [2]]).balances[0] == 1.5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -242,7 +230,10 @@ class TestBucketBalance:
         rng = np.random.default_rng(seed)
         b = int(rng.integers(1, 12))
         rows = rng.integers(0, 4, size=(b, 1))
-        assert bucket_balance(list(range(b)), codes_from_rows(rows.tolist())) >= 1.0
+        balances = one_bucket(rows.tolist()).balances
+        # A single vertex is a singleton bucket, which has no row.
+        assert balances.size == (b > 1)
+        assert np.all(balances >= 1.0)
 
 
 class TestBucketDiagnostics:
@@ -279,7 +270,8 @@ class TestBucketDiagnostics:
         table = build_observation(g, AnchorSet((0, 3)), no_codes(4))
         diag = bucket_diagnostics(table)
         assert diag.singleton_vertex_fraction == 1.0
-        assert diag.rows == {}
+        assert diag.profiles.shape == (0, 2)
+        assert diag.sizes.size == 0
         for level in diag.levels:
             assert level.weighted_collision is None
 
@@ -292,14 +284,18 @@ class TestBucketDiagnostics:
         g, anchors, codes = random_instance(seed, m=1, eta=2.0)
         table = build_observation(g, anchors, codes)
         diag = bucket_diagnostics(table)
-        for profile, row in diag.rows.items():
-            members = table.buckets[profile]
-            assert row.size == len(members)
-            assert row.collision == pytest.approx(bucket_collision(members, codes))
-            assert row.balance == pytest.approx(bucket_balance(members, codes))
-            assert 0.0 <= row.collision <= 1.0
-            assert row.balance >= 1.0
-            assert row.code_count <= row.size
+        for i, profile in enumerate(diag.profiles.tolist()):
+            members = table.buckets[tuple(profile)]
+            counts = Counter(table.codes[v] for v in members)
+            b = len(members)
+            same = sum(c * (c - 1) for c in counts.values())
+            assert diag.sizes[i] == b
+            assert diag.code_counts[i] == len(counts)
+            assert diag.collisions[i] == pytest.approx(same / (b * (b - 1)))
+            assert diag.balances[i] == pytest.approx(len(counts) / b * max(counts.values()))
+            assert 0.0 <= diag.collisions[i] <= 1.0
+            assert diag.balances[i] >= 1.0
+            assert diag.code_counts[i] <= diag.sizes[i]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -308,7 +304,7 @@ class TestBucketDiagnostics:
         table = build_observation(g, anchors, codes)
         diag = bucket_diagnostics(table)
         singleton_buckets = sum(1 for vs in table.buckets.values() if len(vs) == 1)
-        total = singleton_buckets + sum(r.code_count for r in diag.rows.values())
+        total = singleton_buckets + int(diag.code_counts.sum())
         assert total == len(table.fibers)
 
     @given(st.integers(0, 10_000))
@@ -317,16 +313,14 @@ class TestBucketDiagnostics:
         g, anchors, codes = random_instance(seed, m=1, eta=1.0)
         table = build_observation(g, anchors, codes)
         diag = bucket_diagnostics(table)
-        for row in diag.rows.values():
-            bound = row.balance * row.size / (1.0 + (row.size - 1) * row.collision)
-            assert row.code_count <= bound + 1e-12
+        bound = diag.balances * diag.sizes / (1.0 + (diag.sizes - 1) * diag.collisions)
+        assert np.all(diag.code_counts <= bound + 1e-12)
 
     def test_refinement_inequality_worked_example(self):
-        codes = codes_from_rows([[1], [1], [2]])
-        coll = bucket_collision([0, 1, 2], codes)
-        bal = bucket_balance([0, 1, 2], codes)
+        diag = one_bucket([[1], [1], [2]])
+        coll, bal = diag.collisions[0], diag.balances[0]
         assert bal * 3 / (1.0 + 2 * coll) == pytest.approx(2.4)
-        assert 2 <= 2.4
+        assert diag.code_counts[0] == 2 <= 2.4
 
 
 class TestRefinement:
@@ -400,7 +394,13 @@ def ref_fiber_stats(fibers, n):
     )
 
 
+RefBucket = namedtuple("RefBucket", "size code_count collision balance")
+RefDiagnostics = namedtuple("RefDiagnostics", "rows levels singleton_vertex_fraction")
+
+
 def ref_bucket_diagnostics(buckets, code_rows, n):
+    """Non-singleton buckets keyed by profile, in first-appearance order,
+    plus the cutoff levels and the singleton-bucket vertex fraction."""
     rows = {}
     singletons = 0
     for profile, members in buckets.items():
@@ -410,7 +410,7 @@ def ref_bucket_diagnostics(buckets, code_rows, n):
             continue
         counts = Counter(code_rows[v] for v in members)
         same = sum(c * (c - 1) for c in counts.values())
-        rows[profile] = BucketRow(
+        rows[profile] = RefBucket(
             size=b,
             code_count=len(counts),
             collision=same / (b * (b - 1)),
@@ -435,9 +435,22 @@ def ref_bucket_diagnostics(buckets, code_rows, n):
             median_code_ratio=med,
             q90_balance=q90,
         ))
-    return BucketDiagnostics(
-        n=n, rows=rows, levels=tuple(levels), singleton_vertex_fraction=singletons / n
-    )
+    return RefDiagnostics(rows, tuple(levels), singletons / n)
+
+
+def assert_diagnostics_match(diag, ref, k):
+    """Every array and every level of diag equals the reference exactly."""
+    assert diag.profiles.shape == (len(ref.rows), k)
+    assert [tuple(p) for p in diag.profiles.tolist()] == list(ref.rows)
+    for array, field in (
+        (diag.sizes, "size"),
+        (diag.code_counts, "code_count"),
+        (diag.collisions, "collision"),
+        (diag.balances, "balance"),
+    ):
+        assert array.tolist() == [getattr(r, field) for r in ref.rows.values()]
+    assert diag.levels == ref.levels
+    assert diag.singleton_vertex_fraction == ref.singleton_vertex_fraction
 
 
 INT64 = np.iinfo(np.int64)
@@ -502,8 +515,8 @@ class TestArrayNativeMatchesReference:
         assert list(table.buckets.items()) == list(buckets.items())
         assert fiber_stats(table) == ref_fiber_stats(fibers, g.n)
         diag = bucket_diagnostics(table)
-        assert diag == ref_bucket_diagnostics(buckets, code_rows, g.n)
-        assert list(diag.rows) == [p for p, vs in buckets.items() if len(vs) > 1]
+        assert diag.n == g.n
+        assert_diagnostics_match(diag, ref_bucket_diagnostics(buckets, code_rows, g.n), anchors.k)
         assert codebook_size(codes) == len(set(code_rows))
 
     def test_k0_and_m0_is_one_fiber(self):
@@ -512,6 +525,41 @@ class TestArrayNativeMatchesReference:
         assert table.fibers == {((), ()): tuple(range(10))}
         assert fiber_stats(table) == ref_fiber_stats(table.fibers, 10)
         assert codebook_size(no_codes(g.n)) == 1
+
+
+class TestLargestBucketsListing:
+    """The `diagnose-buckets` listing: size descending, then profile
+    ascending, with the reference's values in the CLI's formats."""
+
+    ARGS = ("--regular", "300,3", "--seed", "5", "--anchors", "2", "--m", "2", "--eta", "0.5")
+
+    def reference_lines(self):
+        g = random_regular(300, 3, 5)
+        anchors = select_anchors(g, 2, "random", anchor_seed_for(5, 2, "random", 0))
+        basis = low_frequency_basis(normalized_laplacian(g), 2)
+        codes = quantize_absolute(energy_embedding(basis, 2, scaled=True), 0.5)
+        profile_rows = [tuple(int(d) for d in row) for row in anchor_profile(g, anchors)]
+        code_rows = [tuple(int(c) for c in row) for row in codes.codes]
+        _, buckets = ref_join(profile_rows, code_rows)
+        rows = ref_bucket_diagnostics(buckets, code_rows, g.n).rows
+        ranked = sorted(rows.items(), key=lambda kv: (-kv[1].size, kv[0]))
+        return [
+            f"  ({','.join(map(str, p))}) {r.size} {r.code_count} "
+            f"{r.collision:.6g} {r.balance:.6g}"
+            for p, r in ranked
+        ]
+
+    @pytest.mark.parametrize("top", [6, 10_000])
+    def test_order_and_values_match_reference(self, capsys, top):
+        want = self.reference_lines()
+        sizes = [int(line.split()[1]) for line in want]
+        # Equal sizes at the cut and beyond: the profile decides the order.
+        assert sizes[5] == sizes[6]
+        assert len(want) < 10_000
+        assert cli.main(["diagnose-buckets", *self.ARGS, "--top", str(top)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        header = out.index("largest buckets (profile size codes collision balance):")
+        assert out[header + 1:] == want[:top]
 
 
 def ref_groups(rows):
