@@ -21,9 +21,9 @@ import sys
 
 import numpy as np
 
-from obsmap.graphs import random_regular
+from obsmap.graphs import anchor_profile, random_regular
 from obsmap.harness import anchor_seed_for, graph_seed_for, select_anchors
-from obsmap.observation import build_observation, fiber_stats
+from obsmap.observation import anchor_stage, fiber_stats, refine_observation
 from obsmap.spectral import (
     codebook_size,
     energy_embedding,
@@ -52,21 +52,23 @@ def main() -> int:
                 low_frequency_basis(normalized_laplacian(g), M), M, scaled=False)
             anchors = select_anchors(
                 g, K, "random", anchor_seed_for(gseed, K, "random", 0))
-            cells.append((g, anchors, emb, float(np.max(np.abs(emb.values)))))
+            # One anchor stage per cell, refined by both quantizers at every eta.
+            stage = anchor_stage(anchor_profile(g, anchors))
+            cells.append((g, stage, emb, float(np.max(np.abs(emb.values)))))
         print(f"prepared n={n}", file=sys.stderr)
 
     print(f"{'eta':>6} {'error':>9} {'preimage':>9} {'code_ratio':>10} {'ratio_rule_err':>14}")
     for eta_text in ETAS:
         eta = float(eta_text)
         errors, preimages, ratios, rel_errors = [], [], [], []
-        for g, anchors, emb, peak in cells:
+        for g, stage, emb, peak in cells:
             fixed = quantize_relative(emb, eta / peak)
-            stats = fiber_stats(build_observation(g, anchors, fixed))
+            stats = fiber_stats(refine_observation(stage, fixed))
             errors.append(stats.error)
             preimages.append(g.n / stats.image_size)
             ratios.append(codebook_size(fixed) / g.n)
             tied = quantize_relative(emb, eta)
-            rel_errors.append(fiber_stats(build_observation(g, anchors, tied)).error)
+            rel_errors.append(fiber_stats(refine_observation(stage, tied)).error)
         print(
             f"{eta_text:>6} {np.mean(errors):>9.6f} {np.mean(preimages):>9.4f} "
             f"{np.mean(ratios):>10.4f} {np.mean(rel_errors):>14.6g}")

@@ -37,12 +37,10 @@ from .harness import (
     _GraphCodes,
     analyze_records,
     anchor_seed_for,
-    evaluate_instance,
     kemp_table,
     parse_sweep_config,
     read_csv_rows,
     run_sweep,
-    select_anchors,
     write_csv,
     write_records_csv,
 )
@@ -198,10 +196,10 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
     scaled = _parse_bool(args.scaled)
     if args.anchors < 1:
         raise ValueError("anchor count must be at least 1")
-    codes, _ = _GraphCodes(g, args.m).get(args.m, float(args.eta), args.quantizer, scaled)
     aseed = anchor_seed_for(args.seed, args.anchors, args.strategy, 0)
-    anchors = select_anchors(g, args.anchors, args.strategy, aseed)
-    report = evaluate_instance(g, anchors, codes)
+    report = _GraphCodes(g, args.m).report(
+        args.m, float(args.eta), args.quantizer, scaled, args.anchors, args.strategy, aseed
+    )
     diag = report.diagnostics
 
     print(f"n {diag.n}")

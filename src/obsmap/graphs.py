@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 __all__ = [
     "ConnectivityError",
@@ -321,25 +321,37 @@ def largest_connected_component(g: Graph) -> Graph:
 def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """Hop distances from each source, shape (len(sources), n), int64.
 
-    One C-level breadth-first search per source (unweighted csgraph
-    shortest paths; the adjacency is symmetric, so the directed search sees
-    every edge both ways).
+    One C-level breadth-first search per source (csgraph
+    breadth_first_order; the adjacency is symmetric, so the directed search
+    sees every edge both ways). The search dequeues in FIFO order, so the
+    queue positions of the parents never decrease along the visiting order
+    and each level is a contiguous run of it: the run of level d+1 ends
+    after the last vertex whose parent lies in level d, which one
+    searchsorted per level finds.
 
     Raises:
         ConnectivityError: naming the first source, in the given order, that
             leaves a vertex unreachable, and its smallest unreachable vertex.
     """
-    dist = shortest_path(
-        g.to_sparse(), method="D", directed=True, unweighted=True, indices=list(sources)
-    )
-    unreachable = np.isinf(dist)
-    if unreachable.any():
-        row = int(np.flatnonzero(unreachable.any(axis=1))[0])
-        missing = int(np.flatnonzero(unreachable[row])[0])
-        raise ConnectivityError(
-            f"vertex {missing} unreachable from source {sources[row]}"
+    csr = g.to_sparse()
+    dist = np.empty((len(sources), g.n), dtype=np.int64)
+    position = np.empty(g.n, dtype=np.int64)
+    for row, source in enumerate(sources):
+        order, parent = breadth_first_order(
+            csr, source, directed=True, return_predecessors=True
         )
-    return dist.astype(np.int64)
+        if order.size < g.n:
+            reached = np.zeros(g.n, dtype=bool)
+            reached[order] = True
+            missing = int(np.flatnonzero(~reached)[0])
+            raise ConnectivityError(f"vertex {missing} unreachable from source {source}")
+        position[order] = np.arange(g.n)
+        parent_position = position[parent[order[1:]]]
+        ends = [1]  # level d occupies order[ends[d-1]:ends[d]], level 0 the source
+        while ends[-1] < g.n:
+            ends.append(1 + int(np.searchsorted(parent_position, ends[-1])))
+        dist[row, order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return dist
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:

@@ -19,17 +19,21 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import AnchorSet, Graph, bfs_distances, random_regular
+from .graphs import AnchorSet, Graph, anchor_profile, bfs_distances, random_regular
 from .observation import (
+    AnchorStage,
     BucketDiagnostics,
     FiberStats,
+    ObservationTable,
+    anchor_stage,
     build_observation,
     bucket_diagnostics,
     fiber_stats,
+    refine_observation,
 )
 from .spectral import (
     EnergyEmbedding,
@@ -373,42 +377,68 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
     then repeatedly the vertex maximizing the minimum distance to the
     chosen set, ties to the smaller id.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown anchor strategy {strategy!r}")
+    _check_draw(g, k, strategy)
     if k == 0:
         return AnchorSet(())
     if strategy == "degree":
         degs = g.degrees()
         order = sorted(range(g.n), key=lambda v: (-int(degs[v]), v))
         return AnchorSet(tuple(order[:k]))
-    rng = np.random.default_rng(seed)
     if strategy == "random":
-        picks = rng.choice(g.n, size=k, replace=False)
+        picks = np.random.default_rng(seed).choice(g.n, size=k, replace=False)
         return AnchorSet(tuple(int(v) for v in picks))
-    first = int(rng.integers(g.n))
-    chosen = [first]
-    min_dist = bfs_distances(g, first)
+    return _farthest(g, k, seed)[0]
+
+
+def _check_draw(g: Graph, k: int, strategy: str) -> None:
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k > g.n:
+        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown anchor strategy {strategy!r}")
+
+
+def _farthest(g: Graph, k: int, seed: int) -> tuple[AnchorSet, np.ndarray]:
+    """The farthest strategy's k >= 1 anchors and their (n, k) distance
+    profile, whose columns are the searches that chose the anchors."""
+    chosen = [int(np.random.default_rng(seed).integers(g.n))]
+    columns = [bfs_distances(g, chosen[0])]
+    min_dist = columns[0]
     while len(chosen) < k:
         nxt = int(np.argmax(min_dist))  # first max: smallest id wins ties
         chosen.append(nxt)
-        min_dist = np.minimum(min_dist, bfs_distances(g, nxt))
-    return AnchorSet(tuple(chosen))
+        columns.append(bfs_distances(g, nxt))
+        min_dist = np.minimum(min_dist, columns[-1])
+    return AnchorSet(tuple(chosen)), np.column_stack(columns)
+
+
+class _CodeTable(NamedTuple):
+    """One quantized code table, its degeneracy flag and its codebook size."""
+
+    codes: QuantizedCodes
+    degenerate: bool
+    codebook: int
 
 
 class _GraphCodes:
-    """Quantized codes of one graph, each (m, eta, quantizer, scaled) built
-    once, every m cut from a single eigensolve at m_max, the largest m the
-    caller needs. The solve runs on first use, so m=0 work never pays it."""
+    """The per-graph work object: one eigensolve, the code tables and the
+    anchor stage of one graph.
+
+    Every m is cut from a single eigensolve at m_max, the largest m the
+    caller needs, solved on first use, so m=0 work never pays it. Each code
+    table (m, eta, quantizer, scaled) and its codebook size are built once.
+    One anchor stage is held at a time: a caller evaluates the rows of one
+    anchor set together, and asking for another anchor set drops it.
+    """
 
     def __init__(self, g: Graph, m_max: int) -> None:
         self.g = g
         self.m_max = m_max
         self._basis: SpectralBasis | None = None
-        self._codes: dict[tuple, tuple[QuantizedCodes, bool]] = {}
+        self._codes: dict[tuple, _CodeTable] = {}
+        self._stage_key: tuple | None = None
+        self._stage: AnchorStage | Exception | None = None
 
     def basis(self) -> SpectralBasis:
         """The bottom m_max+1 eigenpairs, solved on the first call."""
@@ -416,10 +446,8 @@ class _GraphCodes:
             self._basis = low_frequency_basis(normalized_laplacian(self.g), self.m_max)
         return self._basis
 
-    def get(
-        self, m: int, eta: float, quantizer: str, scaled: bool
-    ) -> tuple[QuantizedCodes, bool]:
-        """Codes for one spectral configuration and their degeneracy flag."""
+    def get(self, m: int, eta: float, quantizer: str, scaled: bool) -> _CodeTable:
+        """The code table of one spectral configuration."""
         key = (m, eta, quantizer, scaled)
         if key not in self._codes:
             if m == 0:
@@ -433,8 +461,54 @@ class _GraphCodes:
                 codes = quantize_absolute(emb, eta)
             else:
                 codes = quantize_relative(emb, eta)
-            self._codes[key] = (codes, degenerate)
+            self._codes[key] = _CodeTable(codes, degenerate, codebook_size(codes))
         return self._codes[key]
+
+    def stage(self, k: int, strategy: str, seed: int) -> AnchorStage:
+        """The anchor stage of k anchors drawn by strategy from the anchor
+        seed; k = 0 is the one-bucket stage. A failed build is kept like a
+        stage, so every row of that anchor set gets the same exception."""
+        key = (k, strategy, seed)
+        if key != self._stage_key:
+            self._stage_key, self._stage = key, None  # release the old stage before building
+            try:
+                if k == 0:
+                    profile = anchor_profile(self.g, AnchorSet(()))
+                elif strategy == "farthest":
+                    # The searches that chose the anchors are the profile.
+                    _check_draw(self.g, k, strategy)
+                    profile = _farthest(self.g, k, seed)[1]
+                else:
+                    profile = anchor_profile(self.g, select_anchors(self.g, k, strategy, seed))
+                self._stage = anchor_stage(profile)
+            except Exception as exc:
+                self._stage = exc
+        if isinstance(self._stage, Exception):
+            raise self._stage
+        return self._stage
+
+    def report(
+        self, m: int, eta: float, quantizer: str, scaled: bool,
+        k: int, strategy: str, seed: int,
+    ) -> InstanceReport:
+        """One instance: a code table refining an anchor stage. The code
+        table comes first, so a row where both fail reports the code table's
+        failure."""
+        table = self.get(m, eta, quantizer, scaled)
+        return _report(refine_observation(self.stage(k, strategy, seed), table.codes), table)
+
+
+def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
+    diagnostics = bucket_diagnostics(obs)
+    return InstanceReport(
+        stats=fiber_stats(obs),
+        diagnostics=diagnostics,
+        bounds=bound_report(
+            obs, table.codes, diagnostics=diagnostics, codebook=table.codebook
+        ),
+        codebook=table.codebook,
+        degenerate=table.degenerate,
+    )
 
 
 def evaluate_instance(
@@ -442,16 +516,8 @@ def evaluate_instance(
 ) -> InstanceReport:
     """Observation table statistics, bucket diagnostics, and bounds for one
     fully specified instance."""
-    table = build_observation(g, anchors, codes)
-    diagnostics = bucket_diagnostics(table)
-    codebook = codebook_size(codes)
-    return InstanceReport(
-        stats=fiber_stats(table),
-        diagnostics=diagnostics,
-        bounds=bound_report(table, codes, diagnostics=diagnostics, codebook=codebook),
-        codebook=codebook,
-        degenerate=degenerate,
-    )
+    table = _CodeTable(codes, degenerate, codebook_size(codes))
+    return _report(build_observation(g, anchors, codes), table)
 
 
 def _record_from_report(
@@ -494,23 +560,23 @@ def _failure_record(point: ConfigPoint, seed: int, reason: str) -> TrialRecord:
     return TrialRecord(**_point_identity(point), seed=seed, failure=reason)
 
 
+def _anchor_set_key(point: ConfigPoint) -> tuple:
+    """What a point's anchor stage depends on besides its graph."""
+    return (point.effective_dims()[0], point.k, point.anchor_strategy, point.resample)
+
+
 def _instance_record(
-    point: ConfigPoint,
-    g: Graph,
-    graph_seed: int,
-    graph_codes: _GraphCodes,
+    point: ConfigPoint, graph_seed: int, graph_codes: _GraphCodes
 ) -> TrialRecord:
+    """One point's record. Its wall time includes the anchor stage and the
+    code table when this row is the first to build them."""
     start = time.perf_counter()
     k_eff, m_eff = point.effective_dims()
-    codes, degenerate = graph_codes.get(
-        m_eff, point.eta_float, point.quantizer, point.scaled
+    aseed = anchor_seed_for(graph_seed, point.k, point.anchor_strategy, point.resample)
+    report = graph_codes.report(
+        m_eff, point.eta_float, point.quantizer, point.scaled,
+        k_eff, point.anchor_strategy, aseed,
     )
-    if k_eff > 0:
-        aseed = anchor_seed_for(graph_seed, point.k, point.anchor_strategy, point.resample)
-        anchors = select_anchors(g, k_eff, point.anchor_strategy, aseed)
-    else:
-        anchors = AnchorSet(())
-    report = evaluate_instance(g, anchors, codes, degenerate=degenerate)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return _record_from_report(_point_identity(point), graph_seed, report, wall_ms)
 
@@ -534,7 +600,7 @@ def run_trial(point: ConfigPoint, master_seed: int) -> TrialRecord:
         gseed = graph_seed_for(master_seed, point.n, point.r, point.trial)
         g = random_regular(point.n, point.r, gseed)
         graph_codes = _GraphCodes(g, point.effective_dims()[1])
-        return _instance_record(point, g, gseed, graph_codes)
+        return _instance_record(point, gseed, graph_codes)
     except Exception as exc:
         message = f"{_point_label(point)}: {exc}"
         try:
@@ -578,14 +644,13 @@ def analyze_records(
 
     if graph_codes is None:
         graph_codes = _GraphCodes(g, m)
-    codes, degenerate = graph_codes.get(m, float(eta), quantizer, scaled)
-
     records = []
     for i in range(resamples):
         start = time.perf_counter()
         aseed = anchor_seed_for(seed, k, anchor_strategy, i)
-        anchors = select_anchors(g, k, anchor_strategy, aseed)
-        report = evaluate_instance(g, anchors, codes, degenerate=degenerate)
+        report = graph_codes.report(
+            m, float(eta), quantizer, scaled, k, anchor_strategy, aseed
+        )
         wall_ms = (time.perf_counter() - start) * 1000.0
         identity = dict(
             n=g.n, r=r, k=k, m=m, eta=eta, quantizer=quantizer, scaled=scaled,
@@ -599,7 +664,11 @@ def _run_job(
     master_seed: int, n: int, r: int, trial: int,
     indexed_points: list[tuple[int, ConfigPoint]],
 ) -> list[tuple[int, TrialRecord]]:
-    """Execute all points sharing one graph (n, r, trial)."""
+    """Execute all points sharing one graph (n, r, trial).
+
+    The points of one anchor set run together, so its anchor stage is built
+    once and dropped before the next; records keep their indices.
+    """
     gseed = graph_seed_for(master_seed, n, r, trial)
     try:
         g = random_regular(n, r, gseed)
@@ -608,9 +677,9 @@ def _run_job(
     m_max = max(point.effective_dims()[1] for _, point in indexed_points)
     graph_codes = _GraphCodes(g, m_max)
     out = []
-    for idx, point in indexed_points:
+    for idx, point in sorted(indexed_points, key=lambda item: _anchor_set_key(item[1])):
         try:
-            out.append((idx, _instance_record(point, g, gseed, graph_codes)))
+            out.append((idx, _instance_record(point, gseed, graph_codes)))
         except Exception as exc:
             out.append((idx, _failure_record(point, gseed, str(exc))))
     return out

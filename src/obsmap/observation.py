@@ -7,10 +7,12 @@ profile form a bucket, so the spectral codes refine the buckets. The best
 possible reconstruction answers one vertex per fiber, which makes the
 optimal error 1 - (number of fibers) / n.
 
-Both partitions come from one grouping kernel over int64 matrices (buckets
-from the profile matrix, fibers from bucket ids beside the code matrix), and
-every statistic is computed from group ids and sizes. Tuple-keyed views are
-built only when a caller reads them.
+A table is built in two stages, each one call of the grouping kernel over
+an int64 matrix. The anchor stage groups the profile matrix into buckets; it
+depends only on the graph and the anchors, so one stage serves every code
+table. The refinement stage groups bucket ids beside the code matrix into
+fibers. Every statistic is computed from group ids and sizes; tuple-keyed
+views are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Groups",
+    "AnchorStage",
     "ObservationTable",
     "FiberStats",
     "BucketLevel",
     "BucketDiagnostics",
     "BUCKET_CUTOFFS",
+    "anchor_stage",
+    "refine_observation",
     "build_observation",
     "fiber_stats",
     "min_id_section",
@@ -114,6 +119,22 @@ def _group_rows(matrix: np.ndarray) -> Groups:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return Groups(ids=rank[inverse], first=first[order], sizes=sizes[order])
+
+
+@dataclass(frozen=True, eq=False)
+class AnchorStage:
+    """The distance profiles of one anchor set and their buckets.
+
+    profile_matrix (n, k) is read-only; bucket_groups partitions the
+    vertices by profile row.
+    """
+
+    profile_matrix: np.ndarray
+    bucket_groups: Groups
+
+    @property
+    def n(self) -> int:
+        return self.profile_matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,30 +241,41 @@ class BucketDiagnostics:
         raise KeyError(f"no aggregate at cutoff {cutoff}")
 
 
+def anchor_stage(profile_matrix: np.ndarray) -> AnchorStage:
+    """The anchor stage: bucket the vertices of an (n, k) distance profile
+    matrix, as graphs.anchor_profile returns it. The matrix is made
+    read-only and kept."""
+    profile_matrix.setflags(write=False)
+    return AnchorStage(profile_matrix=profile_matrix, bucket_groups=_group_rows(profile_matrix))
+
+
+def refine_observation(stage: AnchorStage, codes: QuantizedCodes) -> ObservationTable:
+    """The refinement stage: split each bucket of the stage into fibers by
+    code row. The code table must have one row per vertex."""
+    if codes.n != stage.n:
+        raise ValueError(
+            f"code table has {codes.n} rows for a graph with {stage.n} vertices"
+        )
+    buckets = stage.bucket_groups
+    return ObservationTable(
+        n=stage.n,
+        profile_matrix=stage.profile_matrix,
+        code_matrix=codes.codes,
+        fiber_groups=_group_rows(np.column_stack([buckets.ids, codes.codes])),
+        bucket_groups=buckets,
+    )
+
+
 def build_observation(
     g: Graph, anchors: AnchorSet, codes: QuantizedCodes
 ) -> ObservationTable:
-    """Join distance profiles with code rows into fibers and buckets.
+    """Join distance profiles with code rows into fibers and buckets: both
+    stages on one anchor set.
 
     The code table must have one row per vertex. Connectivity errors from
     the distance computation propagate.
     """
-    if codes.n != g.n:
-        raise ValueError(
-            f"code table has {codes.n} rows for a graph with {g.n} vertices"
-        )
-    profile_matrix = anchor_profile(g, anchors)
-    profile_matrix.setflags(write=False)
-    buckets = _group_rows(profile_matrix)
-    # A fiber is a bucket refined by the code row.
-    fibers = _group_rows(np.column_stack([buckets.ids, codes.codes]))
-    return ObservationTable(
-        n=g.n,
-        profile_matrix=profile_matrix,
-        code_matrix=codes.codes,
-        fiber_groups=fibers,
-        bucket_groups=buckets,
-    )
+    return refine_observation(anchor_stage(anchor_profile(g, anchors)), codes)
 
 
 def fiber_stats(table: ObservationTable) -> FiberStats:

@@ -3,6 +3,8 @@ oracles."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,78 @@ class TestBfs:
     def test_source_out_of_range(self):
         with pytest.raises(ValueError):
             bfs_distances(path_graph(3), 3)
+
+
+def graphs_of_every_shape():
+    """Random regular graphs, random edge lists (often disconnected), and
+    paths and complete graphs from one vertex up."""
+    regular = st.tuples(st.integers(6, 40), st.sampled_from((3, 4)), st.integers(0, 10**6)).map(
+        lambda t: random_regular(t[0] + t[0] * t[1] % 2, t[1], t[2])
+    )
+    edge_list = st.integers(1, 30).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60
+        ).map(
+            lambda pairs: graph_from_edges(
+                n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+            )
+        )
+    )
+    return st.one_of(
+        regular,
+        edge_list,
+        st.integers(1, 12).map(path_graph),
+        st.integers(1, 8).map(complete_graph),
+    )
+
+
+def unreachable_message(dist: np.ndarray, sources) -> str | None:
+    """The ConnectivityError message for the reference distance rows of
+    sources: the first failing source and its smallest unreachable vertex."""
+    for source, row in zip(sources, dist):
+        missing = np.flatnonzero(np.isinf(row))
+        if missing.size:
+            return f"vertex {missing[0]} unreachable from source {source}"
+    return None
+
+
+class TestBfsMatchesShortestPath:
+    """bfs_distances, anchor_profile and structural_stats against csgraph's
+    unweighted shortest paths (a heap-based search, independent of the
+    queue-order kernel)."""
+
+    @given(graphs_of_every_shape(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_csgraph(self, g, data):
+        ref = shortest_path(g.to_sparse(), unweighted=True)
+        for s in range(g.n):
+            message = unreachable_message(ref[[s]], [s])
+            if message is None:
+                assert bfs_distances(g, s).tolist() == ref[s].astype(np.int64).tolist()
+            else:
+                with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+                    bfs_distances(g, s)
+
+        order = data.draw(st.permutations(range(g.n)))
+        anchors = order[: data.draw(st.integers(0, min(g.n, 5)))]
+        message = unreachable_message(ref[anchors], anchors)
+        if message is None:
+            expected = ref[anchors].T.astype(np.int64)
+            assert anchor_profile(g, AnchorSet(anchors)).tolist() == expected.tolist()
+        else:
+            with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+                anchor_profile(g, AnchorSet(anchors))
+
+        if g.n < 2:
+            return
+        if np.isinf(ref).any():
+            with pytest.raises(ConnectivityError, match="^graph is not connected$"):
+                structural_stats(g)
+        else:
+            upper = ref[np.triu_indices(g.n, k=1)]
+            s = structural_stats(g)
+            assert s.diameter == int(upper.max())
+            assert s.avg_shortest_path_length == int(upper.sum()) / upper.size
 
 
 class TestAnchorProfile:

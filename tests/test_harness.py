@@ -390,7 +390,87 @@ class TestOneSolvePerGraph:
 
                 monkeypatch.setattr(module, attr, wrapper)
         res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
-        assert counts == {"diag": len(res.records), "codebook": len(res.records)}
+        # one code table per graph: every k and resample shares its codebook
+        assert counts == {"diag": len(res.records), "codebook": 3}
+
+
+class TestAnchorStagePerAnchorSet:
+    def config(self, strategy: str) -> SweepConfig:
+        return SweepConfig(
+            n_list=(60,), k_list=(0, 1, 3), m_list=(0, 1, 2), eta_list=("0.1", "0.5"),
+            trials=2, anchor_resamples=3, anchor_strategy=strategy, seed=4,
+        )
+
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    def test_one_stage_per_anchor_set_one_codebook_per_table(self, monkeypatch, strategy):
+        import obsmap.graphs as graphs
+
+        counts = dict.fromkeys(("select_anchors", "_farthest", "anchor_profile", "codebook_size"), 0)
+        for attr in counts:
+            fn = getattr(harness, attr)
+
+            def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, attr, wrapper)
+        searched = []
+        real_bfs = graphs._bfs
+        monkeypatch.setattr(
+            graphs, "_bfs", lambda g, sources: searched.extend(sources) or real_bfs(g, sources)
+        )
+        res = run_sweep(self.config(strategy))
+        assert all(rec.failure is None for rec in res.records)
+        anchor_sets = {(r.trial, r.k, r.resample) for r in res.records if r.k > 0}
+        code_tables = {(r.trial, r.m, r.eta) for r in res.records}
+        stages = len(anchor_sets) + len({(r.trial, r.resample) for r in res.records if r.k == 0})
+        assert len(res.records) == 3 * 3 * 2 * 2 * 3
+        assert counts["codebook_size"] == len(code_tables) == 2 * 3 * 2
+        if strategy == "farthest":
+            # the searches that chose the anchors are the profile
+            assert counts["_farthest"] == len(anchor_sets) == 2 * 2 * 3
+            assert counts["select_anchors"] == 0
+            assert counts["anchor_profile"] == stages - len(anchor_sets)
+        else:
+            assert counts["select_anchors"] == len(anchor_sets) == 2 * 2 * 3
+            assert counts["_farthest"] == 0
+            assert counts["anchor_profile"] == stages
+        # every anchor of every set is searched exactly once
+        assert len(searched) == sum(k for _, k, _ in anchor_sets)
+
+    def test_failed_stage_gives_every_dependent_row_the_same_failure(self, monkeypatch):
+        cfg = self.config("random")
+        gseed = graph_seed_for(cfg.seed, 60, 3, 1)
+        failing = select_anchors(
+            random_regular(60, 3, gseed), 3, "random", anchor_seed_for(gseed, 3, "random", 2)
+        )
+        calls = []
+        real = harness.anchor_profile
+
+        def flaky(g, anchors):
+            if anchors == failing:
+                calls.append(anchors)
+                raise RuntimeError("synthetic stage failure")
+            return real(g, anchors)
+
+        monkeypatch.setattr(harness, "anchor_profile", flaky)
+        res = run_sweep(cfg)
+        failed = [r for r in res.records if r.failure is not None]
+        assert {(r.trial, r.k, r.resample) for r in failed} == {(1, 3, 2)}
+        assert len(failed) == 3 * 2  # every m and eta cell of that anchor set
+        assert len(calls) == 1
+        points = [p for p in cfg.points() if (p.trial, p.k, p.resample) == (1, 3, 2)]
+        assert failed == [
+            TrialRecord(
+                **{f.name: getattr(p, f.name) for f in dataclasses.fields(p)},
+                seed=gseed, failure="synthetic stage failure",
+            )
+            for p in points
+        ]
+        clean = run_sweep(cfg)
+        assert [strip_timing(r) for r in res.records if r.failure is None] == [
+            strip_timing(r) for r in clean.records if (r.trial, r.k, r.resample) != (1, 3, 2)
+        ]
 
 
 class TestRecordIdentity:
