@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from obsmap.harness import SweepConfig, run_sweep
+from obsmap.observation import sequential_sum
 
 FEATURES = ("nope", "spectral", "distance", "full")
 STRATEGIES = ("random", "degree", "farthest")
@@ -25,7 +26,7 @@ def mean_error(n_list, trials, seed, jobs, feature, strategy):
         feature=feature, anchor_strategy=strategy, trials=trials, seed=seed)
     result = run_sweep(cfg, jobs=jobs)
     errors = [rec.error for rec in result.records if rec.failure is None]
-    return sum(errors) / len(errors)
+    return sequential_sum(errors) / len(errors)
 
 
 def main() -> int:

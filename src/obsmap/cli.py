@@ -44,6 +44,7 @@ from .harness import (
     write_csv,
     write_records_csv,
 )
+from .observation import sequential_sum
 from .spectral import energy_embedding, write_basis_tsv, write_embedding_tsv
 
 
@@ -137,7 +138,7 @@ def _cmd_graph_stats(args: argparse.Namespace) -> int:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return sequential_sum(values) / len(values)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -34,6 +34,7 @@ from .observation import (
     bucket_diagnostics,
     fiber_stats,
     refine_observation,
+    sequential_sum,
 )
 from .spectral import (
     EnergyEmbedding,
@@ -702,8 +703,8 @@ def _aggregate(records: Sequence[TrialRecord]) -> dict[tuple, Aggregate]:
             ]
             available[metric] = len(values)
             if values:
-                mean = sum(values) / len(values)
-                var = sum((v - mean) ** 2 for v in values) / len(values)
+                mean = sequential_sum(values) / len(values)
+                var = sequential_sum((v - mean) ** 2 for v in values) / len(values)
                 means[metric] = mean
                 stds[metric] = math.sqrt(max(var, 0.0))
         out[key] = Aggregate(
@@ -925,7 +926,7 @@ def kemp_table(rows: Sequence[Mapping[str, str]], threshold: float) -> list[Kemp
         means = {}
         for k, k_rows in by_k.items():
             errors = [e for e in (_try_float(r["error"]) for r in k_rows) if e is not None]
-            means[k] = sum(errors) / len(errors) if errors else None
+            means[k] = sequential_sum(errors) / len(errors) if errors else None
         k_hit = _threshold_k(means, threshold)
         if k_hit is None:
             out.append(KempRow(n, m, eta, None, None, None, None, None))
@@ -934,7 +935,7 @@ def kemp_table(rows: Sequence[Mapping[str, str]], threshold: float) -> list[Kemp
 
         def cell_mean(col: str) -> float | None:
             values = [v for v in (_try_float(r[col]) for r in hit_rows) if v is not None]
-            return sum(values) / len(values) if values else None
+            return sequential_sum(values) / len(values) if values else None
 
         try:
             rho = rho_eng(BudgetInputs(n=n, k=k_hit, m=m, eta=float(eta)))

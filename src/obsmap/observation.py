@@ -7,19 +7,20 @@ profile form a bucket, so the spectral codes refine the buckets. The best
 possible reconstruction answers one vertex per fiber, which makes the
 optimal error 1 - (number of fibers) / n.
 
-A table is built in two stages, each one call of the grouping kernel over
-an int64 matrix. The anchor stage groups the profile matrix into buckets; it
-depends only on the graph and the anchors, so one stage serves every code
-table. The refinement stage groups bucket ids beside the code matrix into
-fibers. Every statistic is computed from group ids and sizes; tuple-keyed
-views are built only when a caller reads them.
+A table is built in two stages, each at most one call of the grouping
+kernel over an int64 matrix. The anchor stage groups the profile matrix into
+buckets; it depends only on the graph and the anchors, so one stage serves
+every code table. The refinement stage groups bucket ids beside the code
+ids of the code table, whose rows are grouped once per table, into fibers.
+Every statistic is computed from group ids and sizes; tuple-keyed views and
+bucket aggregates are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "min_id_section",
     "section_success",
     "bucket_diagnostics",
+    "sequential_sum",
 ]
 
 Profile = tuple[int, ...]
@@ -217,28 +219,41 @@ class BucketDiagnostics:
     """Per-bucket arrays plus cutoff-level aggregates.
 
     The arrays cover the B non-singleton buckets in order of first
-    appearance: profiles (B, k) holds each bucket's distance profile, sizes
-    its member count b, code_counts its number M of distinct code rows,
-    collisions the probability that two distinct members share a code row
-    (ordered pairs with equal rows over b(b-1)), and balances (M / b) times
-    its largest code-class size (1 for uniform occupancy). levels holds one
-    BucketLevel per cutoff in BUCKET_CUTOFFS, in order.
+    appearance: firsts holds each bucket's smallest vertex, sizes its member
+    count b, code_counts its number M of distinct code rows, collisions the
+    probability that two distinct members share a code row (ordered pairs
+    with equal rows over b(b-1)), and balances (M / b) times its largest
+    code-class size (1 for uniform occupancy).
+
+    Built on first read: profiles (B, k), each bucket's distance profile
+    (rows of profile_matrix, the table's (n, k) matrix); level(cutoff), the
+    BucketLevel of one cutoff in BUCKET_CUTOFFS; levels, all of them in order.
     """
 
     n: int
-    profiles: np.ndarray
+    profile_matrix: np.ndarray
+    firsts: np.ndarray
     sizes: np.ndarray
     code_counts: np.ndarray
     collisions: np.ndarray
     balances: np.ndarray
-    levels: tuple[BucketLevel, ...]
     singleton_vertex_fraction: float
+    _levels: dict[int, BucketLevel] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        return self.profile_matrix[self.firsts]
 
     def level(self, cutoff: int) -> BucketLevel:
-        for lv in self.levels:
-            if lv.cutoff == cutoff:
-                return lv
-        raise KeyError(f"no aggregate at cutoff {cutoff}")
+        if cutoff not in BUCKET_CUTOFFS:
+            raise KeyError(f"no aggregate at cutoff {cutoff}")
+        if cutoff not in self._levels:
+            self._levels[cutoff] = _bucket_level(self, cutoff)
+        return self._levels[cutoff]
+
+    @cached_property
+    def levels(self) -> tuple[BucketLevel, ...]:
+        return tuple(self.level(cutoff) for cutoff in BUCKET_CUTOFFS)
 
 
 def anchor_stage(profile_matrix: np.ndarray) -> AnchorStage:
@@ -257,11 +272,21 @@ def refine_observation(stage: AnchorStage, codes: QuantizedCodes) -> Observation
             f"code table has {codes.n} rows for a graph with {stage.n} vertices"
         )
     buckets = stage.bucket_groups
+    classes = codes.groups
+    # Groups are numbered by first appearance, so a partition has one Groups
+    # whatever matrix produced it: when one side cannot split the other, the
+    # fibers are the other side's groups.
+    if len(classes) == 1 or len(buckets) == stage.n:
+        fibers = buckets
+    elif len(buckets) == 1 or len(classes) == stage.n:
+        fibers = classes
+    else:
+        fibers = _group_rows(np.column_stack([buckets.ids, classes.ids]))
     return ObservationTable(
         n=stage.n,
         profile_matrix=stage.profile_matrix,
         code_matrix=codes.codes,
-        fiber_groups=_group_rows(np.column_stack([buckets.ids, codes.codes])),
+        fiber_groups=fibers,
         bucket_groups=buckets,
     )
 
@@ -316,10 +341,51 @@ def section_success(
     return hits / table.n
 
 
-def _nearest_rank_q90(values: list[float]) -> float:
-    ordered = sorted(values)
-    idx = int(np.ceil(0.9 * len(ordered))) - 1
-    return ordered[idx]
+def sequential_sum(values: Iterable[float]) -> float:
+    """The sum of floats added strictly left to right.
+
+    Builtin sum() did exactly this up to Python 3.11; from 3.12 it uses
+    compensated summation, whose last bits differ. Reported means go
+    through this helper so they do not depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty float array, bit for bit, from one sort."""
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2.0)
+
+
+def _bucket_level(diag: BucketDiagnostics, cutoff: int) -> BucketLevel:
+    """The aggregates of the buckets of size at least cutoff."""
+    qual = diag.sizes >= cutoff
+    b = diag.sizes[qual]
+    if b.size:
+        weights = b * (b - 1)
+        # Left to right: np.sum adds pairwise, which would change the last bits.
+        weighted = sequential_sum((weights * diag.collisions[qual]).tolist())
+        wcoll = weighted / int(weights.sum())
+        med = _median(diag.code_counts[qual] / b)
+        # Nearest-rank 0.9 quantile.
+        balances = np.sort(diag.balances[qual])
+        q90 = float(balances[int(np.ceil(0.9 * balances.size)) - 1])
+    else:
+        wcoll = med = q90 = None
+    return BucketLevel(
+        cutoff=cutoff,
+        bucket_count=int(b.size),
+        below_cutoff_vertex_fraction=(diag.n - int(b.sum())) / diag.n,
+        weighted_collision=wcoll,
+        median_code_ratio=med,
+        q90_balance=q90,
+    )
 
 
 def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
@@ -329,7 +395,8 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
     b(b-1) over buckets of size b at or above the cutoff; the median code
     ratio is the median of (distinct codes in bucket) / (bucket size); the
     q0.9 balance is the nearest-rank 0.9 quantile of bucket balances.
-    Inapplicable aggregates are None, not zero.
+    Inapplicable aggregates are None, not zero. The per-bucket arrays are
+    computed here, each cutoff's aggregates on its first read.
     """
     buckets = table.bucket_groups
     fibers = table.fiber_groups
@@ -348,38 +415,13 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
     collision = same[multi] / (size * (size - 1))
     balance = (code_count / size) * largest[multi]
 
-    levels = []
-    for cutoff in BUCKET_CUTOFFS:
-        qual = size >= cutoff
-        b = size[qual]
-        below = table.n - int(b.sum())
-        if b.size:
-            weights = b * (b - 1)
-            # Python's left-to-right sum: np.sum adds pairwise, which would
-            # change the last bits.
-            wcoll = sum((weights * collision[qual]).tolist()) / int(weights.sum())
-            med = float(np.median(code_count[qual] / b))
-            q90 = _nearest_rank_q90(balance[qual].tolist())
-        else:
-            wcoll = med = q90 = None
-        levels.append(
-            BucketLevel(
-                cutoff=cutoff,
-                bucket_count=int(b.size),
-                below_cutoff_vertex_fraction=below / table.n,
-                weighted_collision=wcoll,
-                median_code_ratio=med,
-                q90_balance=q90,
-            )
-        )
-
     return BucketDiagnostics(
         n=table.n,
-        profiles=table.profile_matrix[buckets.first[multi]],
+        profile_matrix=table.profile_matrix,
+        firsts=buckets.first[multi],
         sizes=size,
         code_counts=code_count,
         collisions=collision,
         balances=balance,
-        levels=tuple(levels),
         singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / table.n,
     )

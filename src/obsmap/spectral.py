@@ -17,6 +17,7 @@ cut down per m with SpectralBasis.leading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .graphs import Graph
-from .observation import _group_rows
+from .observation import Groups, _group_rows
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -52,9 +53,11 @@ DEGENERACY_TOL = 1e-9
 # Post-hoc residual ceiling for every retained eigenpair, ||L v - lam v||_2.
 RESIDUAL_TOL = 1e-8
 
-# Largest n solved densely; above this Lanczos is faster. On a 2-core x86-64
-# VM, for the bottom 7 pairs of a cubic graph: n=300 dense 5.9 ms, Lanczos
-# 12.5 ms; n=500 dense 16.5 ms, Lanczos 12.3 ms.
+# Largest n solved densely. On a 2-core x86-64 VM, median times for the
+# bottom 7 pairs of five cubic graphs (Lanczos on _CsrOperator): n=300 dense
+# 5.0 ms, Lanczos 7.5 ms; n=400 dense 8.9 ms, Lanczos 8.4 ms; n=500 dense
+# 14.1 ms, Lanczos 9.8 ms. The crossover lies just below 400; the cutoff
+# stays, since moving it changes which solver produces the vectors there.
 _DENSE_MAX_N = 400
 
 # Seed of the Lanczos start vector. ARPACK otherwise draws a fresh random
@@ -161,6 +164,11 @@ class QuantizedCodes:
     def m(self) -> int:
         return self.codes.shape[1]
 
+    @cached_property
+    def groups(self) -> Groups:
+        """The vertices grouped by code row, computed on first access."""
+        return _group_rows(self.codes)
+
 
 def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     """I - D^(-1/2) A D^(-1/2) as symmetric CSR.
@@ -185,6 +193,30 @@ def _degenerate(vals: np.ndarray) -> bool:
     return bool(np.any(gaps < DEGENERACY_TOL * scale))
 
 
+class _CsrOperator(scipy.sparse.linalg.LinearOperator):
+    """A CSR matrix as the operator of a Lanczos solve.
+
+    matvec calls the CSR kernel that matrix @ vector dispatches to, so the
+    products and therefore the Ritz vectors are bit-identical; it skips the
+    Python dispatch layers around that kernel, about a fifth of a solve at
+    n = 500. It takes only the 1-D vectors ARPACK hands over.
+    """
+
+    def __init__(self, a: sp.csr_matrix) -> None:
+        super().__init__(dtype=a.dtype, shape=a.shape)
+        self._a = a
+        # scipy.sparse loaded this kernel module on import.
+        self._kernel = sp._sparsetools.csr_matvec
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        a = self._a
+        y = np.zeros(a.shape[0], dtype=np.result_type(a.dtype, x.dtype))
+        self._kernel(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
+        return y
+
+    _matvec = matvec
+
+
 def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bottom k eigenpairs, ascending, from a dense or a Lanczos solve."""
     n = op.shape[0]
@@ -200,8 +232,15 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
     # same test is absolute. A Krylov space is unchanged by the shift.
     shifted = 2.0 * sp.identity(n, format="csr") - sp.csr_matrix(op)
     start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    # tol=0 (machine precision) stays although RESIDUAL_TOL is far looser:
+    # at tol=1e-10 Lanczos on C_3000 or the 60x60 torus converges to one
+    # copy of each doubled eigenvalue and skips the other. Every pair it
+    # returns is a true eigenpair, so neither the residual check nor the
+    # degeneracy flag can see the missing one.
     try:
-        top, vecs = scipy.sparse.linalg.eigsh(shifted, k=k, which="LA", v0=start)
+        top, vecs = scipy.sparse.linalg.eigsh(
+            _CsrOperator(shifted), k=k, which="LA", v0=start, tol=0
+        )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise EigenSolverError(f"Lanczos solve did not converge: {exc}") from exc
     vals = 2.0 - top
@@ -320,7 +359,7 @@ def quantize_relative(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
 
 def codebook_size(codes: QuantizedCodes) -> int:
     """Number of distinct code rows; 1 for an m=0 code table."""
-    return len(_group_rows(codes.codes))
+    return len(codes.groups)
 
 
 def _write_columns_tsv(path: str, columns: np.ndarray, first_index: int) -> None:

@@ -393,6 +393,28 @@ class TestOneSolvePerGraph:
         # one code table per graph: every k and resample shares its codebook
         assert counts == {"diag": len(res.records), "codebook": 3}
 
+    def test_bucket_aggregates_built_on_demand(self, monkeypatch, capsys):
+        import obsmap.cli as cli
+        import obsmap.observation as observation
+
+        built = []
+        real = observation._bucket_level
+
+        def spy(diag, cutoff):
+            built.append(cutoff)
+            return real(diag, cutoff)
+
+        monkeypatch.setattr(observation, "_bucket_level", spy)
+        res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
+        # A sweep row reads the cutoff-2 aggregate only.
+        assert built == [2] * len(res.records)
+
+        built.clear()
+        args = ["--regular", "500,3", "--seed", "1", "--anchors", "2", "--m", "2", "--eta", "0.5"]
+        assert cli.main(["diagnose-buckets", *args]) == 0
+        assert "cutoff_10.buckets" in capsys.readouterr().out
+        assert built == [2, 3, 10]
+
 
 class TestAnchorStagePerAnchorSet:
     def config(self, strategy: str) -> SweepConfig:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -25,11 +26,15 @@ from obsmap.observation import (
     BucketLevel,
     FiberStats,
     _group_rows,
+    _median,
+    anchor_stage,
     bucket_diagnostics,
     build_observation,
     fiber_stats,
     min_id_section,
+    refine_observation,
     section_success,
+    sequential_sum,
 )
 from obsmap.spectral import (
     QuantizedCodes,
@@ -604,3 +609,75 @@ class TestGroupingKernel:
         assert (groups.ids.tolist(), groups.first.tolist(), groups.sizes.tolist()) == (
             ids, first, sizes
         )
+
+
+@st.composite
+def stages_and_code_tables(draw):
+    """An anchor stage and a code table of one size. Each side is drawn
+    from shapes that trigger or avoid the refinement's shortcuts: every
+    vertex its own bucket or code, one bucket or one code, or random rows."""
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 10**6))
+    rng = np.random.default_rng(seed)
+    profile_kind = draw(st.sampled_from(("singletons", "one bucket", "random")))
+    if profile_kind == "singletons":
+        profile = rng.permutation(n).reshape(n, 1)
+    elif profile_kind == "one bucket":
+        profile = np.zeros((n, draw(st.integers(0, 2))), dtype=np.int64)
+    else:
+        profile = rng.integers(0, draw(st.integers(1, 4)), size=(n, draw(st.integers(1, 3))))
+    code_kind = draw(st.sampled_from(("distinct", "one code", "random")))
+    if code_kind == "distinct":
+        codes = codes_from_rows(rng.permutation(n).reshape(n, 1).tolist())
+    elif code_kind == "one code":
+        m = draw(st.integers(0, 3))
+        codes = codes_from_rows([[7] * m for _ in range(n)] if m else [()] * n)
+    else:
+        codes = synthetic_codes(seed, n, draw(st.integers(1, 4)), draw(st.sampled_from(CODE_RANGES)))
+    return anchor_stage(profile.astype(np.int64)), codes
+
+
+class TestRefinementStage:
+    @given(stages_and_code_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_fibers_equal_grouping_bucket_ids_beside_code_rows(self, drawn):
+        stage, codes = drawn
+        fibers = refine_observation(stage, codes).fiber_groups
+        want = _group_rows(np.column_stack([stage.bucket_groups.ids, codes.codes]))
+        assert fibers.ids.tolist() == want.ids.tolist()
+        assert fibers.first.tolist() == want.first.tolist()
+        assert fibers.sizes.tolist() == want.sizes.tolist()
+
+    def test_code_table_is_grouped_once(self):
+        codes = synthetic_codes(3, 40, 2, "narrow")
+        stage = anchor_stage(np.arange(40, dtype=np.int64).reshape(40, 1) % 5)
+        assert codes.groups is codes.groups
+        assert codebook_size(codes) == len(codes.groups)
+        # Every bucket a singleton: the buckets are the fibers.
+        singletons = anchor_stage(np.arange(40, dtype=np.int64).reshape(40, 1))
+        assert refine_observation(singletons, codes).fiber_groups is singletons.bucket_groups
+        assert refine_observation(stage, no_codes(40)).fiber_groups is stage.bucket_groups
+
+
+class TestSequentialSum:
+    VALUES = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+    def test_adds_left_to_right(self):
+        total = 0.0
+        for value in self.VALUES:
+            total += value
+        assert sequential_sum(self.VALUES) == total
+        # Compensated summation recovers the 1.0 and the tenths' sum here.
+        assert math.fsum(self.VALUES) != total
+
+    def test_empty_and_generator(self):
+        assert sequential_sum([]) == 0.0
+        assert sequential_sum(x / 4 for x in range(4)) == 1.5
+
+
+class TestMedian:
+    @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_numpy(self, values):
+        arr = np.array(values)
+        assert _median(arr).hex() == float(np.median(arr)).hex()

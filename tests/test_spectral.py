@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsmap.graphs import graph_from_edges, random_regular
 from obsmap.spectral import (
+    _START_SEED,
     DEGENERACY_TOL,
     EigenSolverError,
     EnergyEmbedding,
@@ -26,6 +28,7 @@ from obsmap.spectral import (
     quantize_relative,
     write_basis_tsv,
     write_embedding_tsv,
+    _CsrOperator,
 )
 
 from conftest import (
@@ -287,6 +290,21 @@ class TestLowFrequencyBasis:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", sloppy)
         with pytest.raises(EigenSolverError, match="residual"):
             low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: random_regular(500, 3, 7),
+        lambda: random_regular(2000, 3, 8),
+        lambda: cycle_graph(3000),
+    ], ids=["cubic500", "cubic2000", "cycle3000"])
+    def test_thin_operator_solve_is_bit_identical(self, graph):
+        g = graph()
+        shifted = 2.0 * sp.identity(g.n, format="csr") - normalized_laplacian(g)
+        start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, g.n)
+        solve = dict(k=7, which="LA", v0=start, tol=0)
+        vals, vecs = scipy.sparse.linalg.eigsh(shifted, **solve)
+        thin_vals, thin_vecs = scipy.sparse.linalg.eigsh(_CsrOperator(shifted), **solve)
+        assert np.array_equal(thin_vals, vals)
+        assert np.array_equal(thin_vecs, vecs)
 
     def test_accepts_dense_input(self):
         lap = normalized_laplacian(path_graph(5))
