@@ -1,19 +1,19 @@
 """Graph construction, BFS distances, and structural statistics.
 
 Vertices are dense integer ids 0..n-1. All graphs are simple and
-undirected; adjacency lists are sorted tuples and instances are immutable
-after construction. Parameter violations raise ValueError, reachability
+undirected, stored as one read-only CSR matrix and immutable after
+construction. Parameter violations raise ValueError, reachability
 violations raise ConnectivityError.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
+from scipy.sparse import coo_matrix, csr_matrix, triu
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "Graph",
     "AnchorSet",
     "GraphStats",
+    "MAX_REGULAR_DEGREE",
     "ParsedEdgeList",
     "graph_from_edges",
     "random_regular",
@@ -45,6 +46,11 @@ _STATS_CHUNK = 512
 # (p ~ 1.6e-4), but about 0.54 at r = 7 (p ~ 6e-6) and 0.99 at r = 8.
 _MAX_PAIRING_ATTEMPTS = 100_000
 
+# Largest degree random_regular (and so a sweep grid) accepts. From r = 7 the
+# attempts above fail more often than not; at r = 6 they suffice for large n,
+# though below n of about 30 some seeds still exhaust them (n = 10, seed 0).
+MAX_REGULAR_DEGREE = 6
+
 
 class ConnectivityError(RuntimeError):
     """A vertex required by the operation is unreachable."""
@@ -54,35 +60,38 @@ class EdgeListParseError(ValueError):
     """Malformed edge-list input; message carries the 1-based line number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    adjacency[v] is the sorted tuple of neighbours of v; edge_count is the
-    number of undirected edges. The CSR adjacency matrix is built once, at
-    construction, and shared read-only by every array-level operation.
+    The one storage is the symmetric CSR adjacency matrix (unit weights,
+    sorted column indices, read-only arrays); edge_count is the number of
+    undirected edges. adjacency[v], the sorted tuple of neighbours of v, is
+    a view built on first read. Graphs compare and hash by (n, adjacency).
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
     edge_count: int
-    _csr: csr_matrix = field(init=False, repr=False, compare=False)
+    _csr: csr_matrix = field(repr=False)
 
     def __post_init__(self) -> None:
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.n)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter(
-            itertools.chain.from_iterable(self.adjacency), dtype=np.int64, count=indptr[-1]
-        )
-        data = np.ones(indices.size, dtype=np.float64)
-        csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-        for arr in (csr.data, csr.indices, csr.indptr):
+        for arr in (self._csr.data, self._csr.indices, self._csr.indptr):
             arr.setflags(write=False)
-        object.__setattr__(self, "_csr", csr)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        indptr, indices = self._csr.indptr.tolist(), self._csr.indices.tolist()
+        return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Graph) and self.n == other.n
+        return same and self.adjacency == other.adjacency
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adjacency))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._csr.indptr).astype(np.int64)
@@ -151,6 +160,18 @@ class ParsedEdgeList:
     self_loops: int
 
 
+def _graph(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
+    """Graph on n vertices with the distinct, loop-free edges (lo[i], hi[i])."""
+    ends = (np.concatenate([lo, hi]), np.concatenate([hi, lo]))
+    csr = coo_matrix((np.ones(2 * len(lo)), ends), shape=(n, n)).tocsr()  # sorts each row
+    return Graph(n=n, edge_count=len(lo), _csr=csr)
+
+
+def _pair_arrays(pairs: set[tuple[int, int]]) -> np.ndarray:
+    """The (u, v) pairs as the rows (us, vs) of a (2, E) int64 array."""
+    return np.fromiter(pairs, dtype=np.dtype((np.int64, 2)), count=len(pairs)).T
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from explicit undirected edges.
 
@@ -160,7 +181,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     seen: set[tuple[int, int]] = set()
-    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
@@ -171,10 +191,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return Graph(n=n, adjacency=adjacency, edge_count=len(seen))
+    return _graph(n, *_pair_arrays(seen))
 
 
 def random_regular(n: int, r: int, seed: int) -> Graph:
@@ -187,11 +204,14 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
 
     Args:
         n: vertex count, must exceed r.
-        r: degree, at least 3.
+        r: degree, from 3 to MAX_REGULAR_DEGREE.
         seed: generator seed; equal seeds give identical graphs.
     """
     if r < 3:
         raise ValueError("degree must be at least 3")
+    if r > MAX_REGULAR_DEGREE:
+        raise ValueError(
+            f"degree {r} exceeds {MAX_REGULAR_DEGREE}: pairing draws are rarely simple")
     if n <= r:
         raise ValueError("vertex count must exceed the degree")
     if (n * r) % 2 != 0:
@@ -209,14 +229,8 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         keys = lo * n + hi
         if np.unique(keys).size != keys.size:
             continue
-        # Both directions of every edge, sorted by (source, target), give
-        # each vertex's sorted neighbour run; every vertex has exactly r.
-        directed = np.concatenate([keys, hi * n + lo])
-        directed.sort()
-        targets = (directed % n).tolist()
-        adjacency = tuple(zip(*(targets[j::r] for j in range(r))))
-        g = Graph(n=n, adjacency=adjacency, edge_count=len(lo))
-        if _is_connected(g):
+        g = _graph(n, lo, hi)
+        if connected_components(g.to_sparse(), directed=False)[0] == 1:
             return g
     raise RuntimeError(
         f"pairing model failed to produce a simple connected graph "
@@ -264,9 +278,8 @@ def from_edge_list(lines: Iterable[str]) -> ParsedEdgeList:
             duplicate_edges += 1
             continue
         edge_set.add(key)
-    graph = graph_from_edges(len(token_ids), sorted(edge_set))
     return ParsedEdgeList(
-        graph=graph,
+        graph=_graph(len(token_ids), *_pair_arrays(edge_set)),
         token_ids=token_ids,
         duplicate_edges=duplicate_edges,
         self_loops=self_loops,
@@ -293,13 +306,6 @@ def write_token_map(token_ids: Mapping[str, int], path: str) -> None:
             fh.write(f"{token}\t{vid}\n")
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    count, _ = connected_components(g.to_sparse(), directed=False)
-    return count == 1
-
-
 def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component, re-indexed to 0..n'-1.
 
@@ -315,7 +321,7 @@ def largest_connected_component(g: Graph) -> Graph:
     keep = np.flatnonzero(labels == labels[first])
     # Slicing rows and columns by the ascending keep re-indexes both ends.
     upper = triu(g.to_sparse()[keep][:, keep], format="coo")
-    return graph_from_edges(keep.size, zip(upper.row.tolist(), upper.col.tolist()))
+    return _graph(keep.size, upper.row, upper.col)
 
 
 def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:

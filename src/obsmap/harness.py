@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import AnchorSet, Graph, anchor_profile, bfs_distances, random_regular
+from .graphs import (
+    MAX_REGULAR_DEGREE, AnchorSet, Graph, anchor_profile, bfs_distances, random_regular,
+)
 from .observation import (
     AnchorStage,
     BucketDiagnostics,
@@ -157,6 +159,14 @@ def _check_options(
         raise ValueError(f"unknown anchor strategy {anchor_strategy!r}")
 
 
+def _check_degree(r: int) -> None:
+    """Reject a degree random_regular cannot sample: below 3 or above MAX_REGULAR_DEGREE."""
+    if r < 3:
+        raise ValueError("regular degree must be at least 3")
+    if r > MAX_REGULAR_DEGREE:
+        raise ValueError(f"regular degree must be at most {MAX_REGULAR_DEGREE}, got {r}")
+
+
 def _grid_key(source: object, **cell: object) -> tuple:
     """The _GRID_FIELDS values, taken from cell where given, else from source."""
     return tuple(cell[f] if f in cell else getattr(source, f) for f in _GRID_FIELDS)
@@ -185,8 +195,7 @@ class ConfigPoint:
     resample: int = 0
 
     def __post_init__(self) -> None:
-        if self.r < 3:
-            raise ValueError("regular degree must be at least 3")
+        _check_degree(self.r)
         if self.n <= self.r:
             raise ValueError("n must exceed the regular degree")
         if self.k < 0 or self.k > self.n:
@@ -262,6 +271,7 @@ class SweepConfig:
         if not (0.0 < self.error_threshold < 1.0):
             raise ValueError("error_threshold must lie strictly between 0 and 1")
         # Fail the whole grid early on structurally impossible cells.
+        _check_degree(self.r)
         for n in self.n_list:
             if n <= self.r:
                 raise ValueError(f"n={n} must exceed r={self.r}")

@@ -338,12 +338,7 @@ def quantize_relative(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if emb.values.size == 0:
-        codes = np.zeros(emb.values.shape, dtype=np.int64)
-        return QuantizedCodes(
-            codes=_readonly(codes), rule="relative", eta=float(eta), delta=0.0
-        )
-    max_abs = float(np.max(np.abs(emb.values)))
+    max_abs = float(np.max(np.abs(emb.values), initial=0.0))
     if max_abs == 0.0:
         codes = np.zeros(emb.values.shape, dtype=np.int64)
         return QuantizedCodes(

@@ -86,6 +86,12 @@ class TestGenRegular:
         code, _, _ = run_cli(capsys, "gen-regular", "--n", "10", "--r", "2")
         assert code == 2
 
+    def test_degree_above_ceiling_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen-regular", "--n", "200", "--r", "7")
+        assert code == 2
+        assert out == ""
+        assert "degree 7 exceeds 6" in err
+
 
 class TestGraphStats:
     def test_complete_graph_values(self, capsys, tmp_path):

@@ -4,16 +4,19 @@ oracles."""
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from obsmap import graphs
 from obsmap.graphs import (
+    MAX_REGULAR_DEGREE,
     AnchorSet,
     ConnectivityError,
     EdgeListParseError,
@@ -154,10 +157,26 @@ class TestRandomRegular:
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             random_regular(10, 2, 0)
+        with pytest.raises(ValueError, match="degree 7 exceeds 6"):
+            random_regular(200, 7, 0)
         with pytest.raises(ValueError):
             random_regular(3, 3, 0)
         with pytest.raises(ValueError):
             random_regular(5, 3, 0)
+
+    def test_highest_accepted_degree_generates(self):
+        assert MAX_REGULAR_DEGREE == 6
+        g = random_regular(200, 6, 0)
+        assert g.degrees().tolist() == [6] * 200
+        assert bfs_distances(g, 0).max() >= 1
+
+    @given(st.integers(MAX_REGULAR_DEGREE + 1, 12), st.integers(0, 400), st.integers(0, 99))
+    @settings(max_examples=25, deadline=None)
+    def test_degree_above_ceiling_rejected(self, r, n, seed):
+        # Checked before the other parameters and before any draw, which
+        # would otherwise spend 100 000 attempts and raise RuntimeError.
+        with pytest.raises(ValueError, match=f"^degree {r} exceeds {MAX_REGULAR_DEGREE}: "):
+            random_regular(n, r, seed)
 
     def test_diameter_regression_n1000(self):
         # Exact diameters for these 20 derived seeds measured 12..13 (19 of
@@ -410,6 +429,203 @@ def edge_loop_lcc(g):
     remap[keep] = np.arange(keep.size)
     edges = [(int(remap[u]), int(remap[v])) for u, v in g.edges() if remap[u] >= 0]
     return graph_from_edges(keep.size, edges)
+
+
+class Reference(NamedTuple):
+    """A graph as the tuple-based construction held it: sorted neighbour
+    tuples first, then a CSR laid out from those tuples."""
+
+    n: int
+    adjacency: tuple[tuple[int, ...], ...]
+    edge_count: int
+
+    def csr(self) -> csr_matrix:
+        degrees = [len(a) for a in self.adjacency]
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        indices = np.array([v for a in self.adjacency for v in a], dtype=np.int64)
+        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.n, self.n))
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v]
+
+
+def reference_from_edges(n: int, edges) -> Reference:
+    """Per-edge validation into neighbour lists, each sorted into a tuple."""
+    seen = set()
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Reference(n, tuple(tuple(sorted(a)) for a in nbrs), len(seen))
+
+
+def reference_regular(n: int, r: int, seed: int) -> Reference:
+    """The pairing model on the same generator stream, each accepted draw
+    turned into neighbour tuples by sorting packed directed edge keys."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), r)
+    for _ in range(graphs._MAX_PAIRING_ATTEMPTS):
+        rng.shuffle(stubs)
+        us, vs = stubs[0::2], stubs[1::2]
+        if np.any(us == vs):
+            continue
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        keys = lo * n + hi
+        if np.unique(keys).size != keys.size:
+            continue
+        directed = np.sort(np.concatenate([keys, hi * n + lo]))
+        targets = (directed % n).tolist()
+        ref = Reference(n, tuple(zip(*(targets[j::r] for j in range(r)))), len(lo))
+        if connected_components(ref.csr(), directed=False)[0] == 1:
+            return ref
+    raise RuntimeError(
+        f"pairing model failed to produce a simple connected graph "
+        f"after {graphs._MAX_PAIRING_ATTEMPTS} attempts (n={n}, r={r})"
+    )
+
+
+def reference_lcc(ref: Reference) -> Reference:
+    """Largest component, smallest id winning ties, kept edges re-indexed
+    one by one."""
+    _, labels = connected_components(ref.csr(), directed=False)
+    sizes = np.bincount(labels)
+    first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
+    keep = np.flatnonzero(labels == labels[first])
+    remap = {int(v): i for i, v in enumerate(keep)}
+    kept = [(remap[u], remap[v]) for u, v in ref.edges() if u in remap]
+    return reference_from_edges(keep.size, kept)
+
+
+def assert_matches_reference(g, ref: Reference) -> None:
+    assert "adjacency" not in vars(g)  # no tuple is built at construction
+    want = ref.csr()
+    csr = g.to_sparse()
+    assert g.to_sparse() is csr
+    assert csr.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got, expected = getattr(csr, name), getattr(want, name)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+        assert not got.flags.writeable
+    assert csr.has_sorted_indices
+    assert g.n == ref.n
+    assert g.edge_count == ref.edge_count
+    assert g.degrees().dtype == np.int64
+    assert g.degrees().tolist() == [len(a) for a in ref.adjacency]
+    assert [g.degree(v) for v in range(g.n)] == [len(a) for a in ref.adjacency]
+    assert g.adjacency == ref.adjacency
+    assert g.adjacency is g.adjacency
+    assert list(g.edges()) == ref.edges()
+    twin = graph_from_edges(ref.n, reversed(ref.edges()))
+    assert g == twin and hash(g) == hash(twin) == hash((ref.n, ref.adjacency))
+    assert g != graph_from_edges(ref.n + 1, ref.edges())
+    if ref.edges():
+        assert g != graph_from_edges(ref.n, ref.edges()[1:])
+
+
+def edge_lists(low: int, high: int):
+    """(n, edges) with endpoints from low to n + high inclusive; with
+    (-1, 0), out-of-range ends, self-loops and duplicates in both
+    orientations all occur."""
+    return st.integers(0, 25).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(low, n + high), st.integers(low, n + high)), max_size=50),
+        )
+    )
+
+
+class TestConstructionMatchesTupleReference:
+    """Every producer against the tuple-based construction it replaced."""
+
+    @given(edge_lists(-1, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_graph_from_edges(self, case):
+        n, edges = case
+        try:
+            ref = reference_from_edges(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                graph_from_edges(n, edges)
+        else:
+            assert_matches_reference(graph_from_edges(n, edges), ref)
+
+    @given(
+        st.integers(0, 10**6).flatmap(
+            lambda seed: st.sampled_from((3, 4, 5, 6)).flatmap(
+                lambda r: st.integers(r + 1, 30)
+                .filter(lambda n: n * r % 2 == 0)
+                .map(lambda n: (n, r, seed))
+            )
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_regular(self, case):
+        # At r = 6 and small n some seeds exhaust the attempts; both sides
+        # must then fail alike.
+        n, r, seed = case
+        try:
+            ref = reference_regular(n, r, seed)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                random_regular(n, r, seed)
+        else:
+            assert_matches_reference(random_regular(n, r, seed), ref)
+
+    def test_random_regular_large(self):
+        assert_matches_reference(random_regular(500, 3, 11), reference_regular(500, 3, 11))
+
+    def test_random_regular_exhausted_attempts(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MAX_PAIRING_ATTEMPTS", 50)
+        with pytest.raises(RuntimeError) as ref:
+            reference_regular(10, 6, 0)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(ref.value))}$"):
+            random_regular(10, 6, 0)
+
+    @given(edge_lists(0, 0), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_edge_list(self, case, data):
+        n, pairs = case
+        # Tokens are names, so re-indexing by first appearance is not the identity.
+        lines = [f"t{u * 7 % 11} t{v * 7 % 11}" for u, v in pairs if u < n and v < n]
+        lines += data.draw(st.lists(st.sampled_from(["# note", "", "t3 t3", "t1 t4"]), max_size=4))
+        lines = data.draw(st.permutations(lines))
+        ids: dict[str, int] = {}
+        edge_set = set()
+        duplicates = loops = 0
+        for line in lines:
+            if not line or line.startswith("#"):
+                continue
+            u, v = (ids.setdefault(tok, len(ids)) for tok in line.split())
+            if u == v:
+                loops += 1
+            elif (min(u, v), max(u, v)) in edge_set:
+                duplicates += 1
+            else:
+                edge_set.add((min(u, v), max(u, v)))
+        parsed = from_edge_list(lines)
+        assert (parsed.token_ids, parsed.duplicate_edges, parsed.self_loops) == (
+            ids, duplicates, loops)
+        assert_matches_reference(parsed.graph, reference_from_edges(len(ids), sorted(edge_set)))
+
+    @given(edge_lists(0, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_largest_connected_component(self, case):
+        n, pairs = case
+        if n == 0:
+            return
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n})
+        g = graph_from_edges(n, edges)
+        assert_matches_reference(largest_connected_component(g), reference_lcc(
+            reference_from_edges(n, edges)))
 
 
 class TestStructuralStats:

@@ -193,6 +193,18 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(n_list=(10,), k_list=(11,), m_list=(0,), eta_list=("0.1",))
 
+    def test_degree_outside_sampler_range_rejected(self, monkeypatch):
+        # Rejected at construction, before any graph is drawn.
+        monkeypatch.setattr(harness, "random_regular", None)
+        with pytest.raises(ValueError, match="at most 6, got 7"):
+            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=7)
+        with pytest.raises(ValueError, match="at most 6, got 7"):
+            point(n=200, r=7)
+        with pytest.raises(ValueError, match="at least 3"):
+            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=2)
+        assert point(n=200, r=6).r == 6
+        assert SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=6).r == 6
+
     def test_m_beyond_n_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(10,), eta_list=("0.1",))
