@@ -6,10 +6,15 @@ eigenvector at eigenvalue 0; embeddings are built from the nontrivial
 vectors only. Eigenvector sign is canonicalized so observable quantities
 do not depend on solver internals.
 
-Small operators (n up to 400) are solved densely; larger ones by a
-matrix-free Lanczos solve (ARPACK, Lehoucq, Sorensen and Yang, 1998) from a
-fixed start vector, so repeated solves return bit-identical vectors. One
-pair beyond the retained ones is solved so the degeneracy flag also sees the
+Small operators (n up to 300) are solved densely; larger ones by a
+matrix-free Lanczos solve (ARPACK, Lehoucq, Sorensen and Yang, 1998) at
+machine precision from a fixed start vector, so repeated solves return
+bit-identical vectors. The solve runs on a Chebyshev polynomial of the
+operator that damps the unwanted part of the spectrum (Zhou and Saad, SIAM
+J. Matrix Anal. Appl., 2007), which cuts the number of ARPACK steps; the
+damped interval starts at a Rayleigh-Ritz upper bound from a short Lanczos
+pass, and every returned eigenvalue is checked to lie below it. One pair
+beyond the retained ones is solved so the degeneracy flag also sees the
 retention boundary, and a basis solved once at the largest m needed can be
 cut down per m with SpectralBasis.leading.
 """
@@ -54,11 +59,27 @@ DEGENERACY_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 
 # Largest n solved densely. On a 2-core x86-64 VM, median times for the
-# bottom 7 pairs of five cubic graphs (Lanczos on _CsrOperator): n=300 dense
-# 5.0 ms, Lanczos 7.5 ms; n=400 dense 8.9 ms, Lanczos 8.4 ms; n=500 dense
-# 14.1 ms, Lanczos 9.8 ms. The crossover lies just below 400; the cutoff
-# stays, since moving it changes which solver produces the vectors there.
-_DENSE_MAX_N = 400
+# bottom 7 pairs of five cubic graphs, 5 runs each, dense against the
+# filtered Lanczos solve: n=200 2.8 against 5.4 ms; n=300 6.8 against 6.7 ms;
+# n=400 11.6 against 8.1 ms; n=500 16.8 against 8.2 ms.
+_DENSE_MAX_N = 300
+
+# Degree of the Chebyshev filter a Lanczos solve runs on. Same VM and
+# graphs, median ms at n=6000 for degrees 4, 8, 12 and 16: 86, 83, 92, 102;
+# at n=500 and 2000 degrees 4 to 12 lie within 10% of each other.
+_FILTER_DEGREE = 8
+
+# Lanczos steps of the pass that bounds the filter cut; at least 2k for k
+# wanted pairs, twice ARPACK's default Krylov size. Median ms at n=6000 for
+# 30, 40 and 50 steps: 95, 83, 86; one cubic graph at n=100 000 solves in
+# 5.5 s at 40 steps and 4.8 s at 50, whose block is 40 MB.
+_BOUND_STEPS = 40
+
+# Largest filter cut. The cut grows with the density of the graph (random
+# graphs of mean degree 3, 10, 20 and 50 at n=6000 give 0.31, 0.53, 0.65 and
+# 0.77), and above about 0.6 the filtered solve was slower than one on
+# 2I - L: its sparse products cost more, and [cut, 2] is mostly empty.
+_MAX_CUT = 0.6
 
 # Seed of the Lanczos start vector. ARPACK otherwise draws a fresh random
 # start per call, and the vectors then differ in their last bits.
@@ -193,28 +214,83 @@ def _degenerate(vals: np.ndarray) -> bool:
     return bool(np.any(gaps < DEGENERACY_TOL * scale))
 
 
-class _CsrOperator(scipy.sparse.linalg.LinearOperator):
-    """A CSR matrix as the operator of a Lanczos solve.
+class _ChebyshevFilter(scipy.sparse.linalg.LinearOperator):
+    """T_d(S) with S = (center I - L) / radius, the operator of a Lanczos solve.
 
-    matvec calls the CSR kernel that matrix @ vector dispatches to, so the
-    products and therefore the Ritz vectors are bit-identical; it skips the
-    Python dispatch layers around that kernel, about a fifth of a solve at
-    n = 500. It takes only the 1-D vectors ARPACK hands over.
+    S maps the eigenvalues of L within radius of center into [-1, 1], where
+    |T_d| <= 1, and those below center - radius above 1, where T_d grows
+    monotonically; so the top eigenpairs of T_d(S) are the bottom pairs of L
+    below that edge, in order. At degree 1 with center 2 and radius 1 the
+    operator is 2I - L.
+
+    matvec runs the recurrence t_(j+1) = 2 S t_j - t_(j-1) as one call of the
+    CSR kernel that matrix @ vector dispatches to per degree, on a
+    precomputed 2S and with the output started at -t_(j-1). It takes only the
+    1-D vectors ARPACK hands over.
     """
 
-    def __init__(self, a: sp.csr_matrix) -> None:
-        super().__init__(dtype=a.dtype, shape=a.shape)
-        self._a = a
+    def __init__(self, lap: sp.csr_matrix, center: float, radius: float, degree: int) -> None:
+        n = lap.shape[0]
+        super().__init__(dtype=np.float64, shape=lap.shape)
+        self._twice = sp.csr_matrix(
+            (2.0 * center / radius) * sp.identity(n, format="csr") - (2.0 / radius) * lap
+        )
+        self._degree = degree
         # scipy.sparse loaded this kernel module on import.
         self._kernel = sp._sparsetools.csr_matvec
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        a = self._a
-        y = np.zeros(a.shape[0], dtype=np.result_type(a.dtype, x.dtype))
-        self._kernel(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
-        return y
+        a = self._twice
+        n = a.shape[0]
+        cur = np.zeros(n)
+        self._kernel(n, n, a.indptr, a.indices, a.data, x, cur)
+        # Halving is exact, so t_1 = S x equals a product with S itself.
+        cur *= 0.5
+        prev = x
+        for _ in range(self._degree - 1):
+            nxt = -prev
+            self._kernel(n, n, a.indptr, a.indices, a.data, cur, nxt)
+            prev, cur = cur, nxt
+        return cur
 
     _matvec = matvec
+
+
+def _ritz_cut(lap: sp.csr_matrix, start: np.ndarray, k: int) -> float | None:
+    """An upper bound on the (k+1)-th smallest eigenvalue of lap, strictly
+    above the k-th, or None when the Krylov space of start breaks down or
+    the bound exceeds _MAX_CUT.
+
+    The bound is the (k+1)-th smallest Ritz value of a Lanczos pass with
+    full reorthogonalisation: Ritz values of an orthonormal subspace bound
+    the eigenvalues from above (Courant-Fischer), and those of an unreduced
+    tridiagonal are distinct. A Lanczos coefficient below RESIDUAL_TOL means
+    the space is already invariant to the accuracy the basis is held to.
+    """
+    steps = max(_BOUND_STEPS, 2 * k)
+    block = np.empty((steps, lap.shape[0]))
+    alpha = np.empty(steps)
+    beta = np.empty(steps - 1)
+    q = start / np.sqrt(np.einsum("i,i->", start, start))
+    for j in range(steps):
+        block[j] = q
+        w = lap @ q
+        # Classical Gram-Schmidt twice against every earlier vector. einsum
+        # keeps these products off BLAS, whose worker threads would keep
+        # spinning and slow the layers that run after the solve.
+        alpha[j] = 0.0
+        for _ in range(2):
+            coef = np.einsum("ij,j->i", block[: j + 1], w)
+            w -= np.einsum("ij,i->j", block[: j + 1], coef)
+            alpha[j] += coef[j]
+        if j + 1 == steps:
+            break
+        beta[j] = np.sqrt(np.einsum("i,i->", w, w))
+        if beta[j] < RESIDUAL_TOL:
+            return None
+        q = w / beta[j]
+    cut = float(scipy.linalg.eigh_tridiagonal(alpha, beta, eigvals_only=True)[k])
+    return cut if cut <= _MAX_CUT else None
 
 
 def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,24 +302,34 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
     if n <= _DENSE_MAX_N or 4 * k > n:
         dense = op.toarray() if sp.issparse(op) else op
         return scipy.linalg.eigh(dense, subset_by_index=(0, k - 1))
-    # Lanczos on the top of 2I - op. ARPACK's stopping test is relative to
-    # the Ritz value, so asking for the bottom of op directly (values near 0)
-    # demands far more accuracy than the residual check needs; near 2 the
-    # same test is absolute. A Krylov space is unchanged by the shift.
-    shifted = 2.0 * sp.identity(n, format="csr") - sp.csr_matrix(op)
+    # Lanczos on a Chebyshev filter that damps [cut, 2], the rest of a
+    # normalized Laplacian's spectrum, into [-1, 1]: fewer ARPACK steps, each
+    # made of _FILTER_DEGREE cheap sparse products. Without a usable cut the
+    # operator is 2I - op. Either way the wanted values of the operator lie
+    # near 1 or above, where ARPACK's test, relative to the Ritz value, is
+    # about as strict as an absolute one.
+    lap = sp.csr_matrix(op)
     start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    cut = _ritz_cut(lap, start, k)
+    if cut is None:
+        operator = _ChebyshevFilter(lap, 2.0, 1.0, 1)
+    else:
+        operator = _ChebyshevFilter(lap, 1.0 + cut / 2.0, 1.0 - cut / 2.0, _FILTER_DEGREE)
     # tol=0 (machine precision) stays although RESIDUAL_TOL is far looser:
     # at tol=1e-10 Lanczos on C_3000 or the 60x60 torus converges to one
     # copy of each doubled eigenvalue and skips the other. Every pair it
     # returns is a true eigenpair, so neither the residual check nor the
-    # degeneracy flag can see the missing one.
+    # degeneracy flag can see the missing one. The filter cuts the number
+    # of steps to reach machine precision instead of the precision.
     try:
-        top, vecs = scipy.sparse.linalg.eigsh(
-            _CsrOperator(shifted), k=k, which="LA", v0=start, tol=0
-        )
+        _, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="LA", v0=start, tol=0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise EigenSolverError(f"Lanczos solve did not converge: {exc}") from exc
-    vals = 2.0 - top
+    vals = np.einsum("ij,ij->j", vecs, lap @ vecs)
+    if cut is not None and np.any(vals >= cut):
+        raise EigenSolverError(
+            f"Lanczos eigenvalue {float(np.max(vals)):.6g} is not below the filter cut {cut:.6g}"
+        )
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
 
@@ -251,7 +337,7 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
 def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
     """Bottom m+1 eigenpairs of a symmetric PSD operator, ascending.
 
-    Solves densely up to n=400 and by Lanczos above, in both cases one pair
+    Solves densely up to n=300 and by Lanczos above, in both cases one pair
     more than retained (when n allows) so the flag sees the boundary gap.
     Every solved eigenpair is residual-checked against the operator; column
     signs are canonicalized (first entry above 1e-12 in absolute value is
@@ -260,12 +346,13 @@ def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
     results.
 
     Args:
-        op: symmetric operator, typically a normalized Laplacian.
+        op: symmetric operator with spectrum in [0, 2], typically a
+            normalized Laplacian.
         m: number of nontrivial eigenpairs to retain; m+1 must not exceed n.
 
     Raises:
-        EigenSolverError: the solve did not converge or a residual exceeds
-            RESIDUAL_TOL.
+        EigenSolverError: the solve did not converge, a Lanczos eigenvalue is
+            not below the filter cut, or a residual exceeds RESIDUAL_TOL.
     """
     if not sp.issparse(op):
         op = np.asarray(op, dtype=np.float64)

@@ -28,8 +28,9 @@ from obsmap.spectral import (
     quantize_relative,
     write_basis_tsv,
     write_embedding_tsv,
-    _CsrOperator,
+    _ChebyshevFilter,
 )
+from obsmap import spectral
 
 from conftest import (
     complete_graph,
@@ -281,36 +282,122 @@ class TestLowFrequencyBasis:
             low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
 
     def test_residual_contract_enforced(self, monkeypatch):
+        # Eigenvalues are Rayleigh quotients of the returned vectors, so the
+        # perturbation goes into the vectors.
         real = scipy.sparse.linalg.eigsh
+        noise = np.random.default_rng(3)
 
         def sloppy(*args, **kwargs):
             vals, vecs = real(*args, **kwargs)
-            return vals + 1e-6, vecs
+            return vals, vecs + 1e-6 * noise.standard_normal(vecs.shape)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", sloppy)
         with pytest.raises(EigenSolverError, match="residual"):
             low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
 
+    def test_cut_below_wanted_eigenvalue_raises(self, monkeypatch):
+        # A filter cut between the 5th and 6th smallest eigenvalues leaves
+        # one of the 6 wanted pairs in the damped band.
+        lap = normalized_laplacian(random_regular(600, 3, 1))
+        vals, _ = dense_oracle(lap, 6)
+        monkeypatch.setattr(spectral, "_ritz_cut", lambda *args: float(vals[4] + vals[5]) / 2.0)
+        with pytest.raises(EigenSolverError, match="filter cut"):
+            low_frequency_basis(lap, 4)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 8])
     @pytest.mark.parametrize("graph", [
         lambda: random_regular(500, 3, 7),
         lambda: random_regular(2000, 3, 8),
         lambda: cycle_graph(3000),
-    ], ids=["cubic500", "cubic2000", "cycle3000"])
-    def test_thin_operator_solve_is_bit_identical(self, graph):
-        g = graph()
-        shifted = 2.0 * sp.identity(g.n, format="csr") - normalized_laplacian(g)
-        start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, g.n)
-        solve = dict(k=7, which="LA", v0=start, tol=0)
-        vals, vecs = scipy.sparse.linalg.eigsh(shifted, **solve)
-        thin_vals, thin_vecs = scipy.sparse.linalg.eigsh(_CsrOperator(shifted), **solve)
-        assert np.array_equal(thin_vals, vals)
-        assert np.array_equal(thin_vecs, vecs)
+        lambda: star_graph(449),
+    ], ids=["cubic500", "cubic2000", "cycle3000", "star450"])
+    def test_filter_matvec_matches_sparse_reference(self, graph, degree):
+        lap = normalized_laplacian(graph())
+        n = lap.shape[0]
+        center, radius = 1.1, 0.9
+        s = (center * sp.identity(n, format="csr") - lap) / radius
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, n)
+        prev, cur = x, s @ x
+        for _ in range(degree - 1):
+            prev, cur = cur, 2.0 * (s @ cur) - prev
+        got = _ChebyshevFilter(lap, center, radius, degree).matvec(x)
+        assert np.max(np.abs(got - cur)) <= 1e-12 * np.max(np.abs(cur))
+
+    def test_degree_one_filter_is_the_shifted_operator(self):
+        # The fallback operator reproduces 2I - L bit for bit.
+        lap = normalized_laplacian(random_regular(2000, 3, 8))
+        x = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, 2000)
+        shifted = 2.0 * sp.identity(2000, format="csr") - lap
+        assert np.array_equal(_ChebyshevFilter(lap, 2.0, 1.0, 1).matvec(x), shifted @ x)
 
     def test_accepts_dense_input(self):
         lap = normalized_laplacian(path_graph(5))
         a = low_frequency_basis(lap, 2)
         b = low_frequency_basis(lap.toarray(), 2)
         assert np.allclose(a.vectors, b.vectors, atol=1e-10)
+
+
+def barbell_graph(clique: int):
+    """Two copies of K_clique joined by one edge."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(clique + i, clique + j) for i, j in edges]
+    return graph_from_edges(2 * clique, edges + [(clique - 1, clique)])
+
+
+def shifted_reference(lap, m):
+    """The Lanczos solve the Chebyshev filter replaced: ARPACK on 2I - L
+    from the seeded start at tol=0, for the bottom m+2 pairs, signs
+    canonicalized as the library does. Returns the m+2 eigenvalues, the
+    retained m+1 vectors and the degeneracy flag."""
+    n = lap.shape[0]
+    shifted = 2.0 * sp.identity(n, format="csr") - sp.csr_matrix(lap)
+    start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+    top, vecs = scipy.sparse.linalg.eigsh(shifted, k=m + 2, which="LA", v0=start, tol=0)
+    vals = 2.0 - top
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    for j in range(m + 1):
+        nz = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
+        if nz.size and vecs[nz[0], j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    nontrivial = vals[1:]
+    flag = bool(np.any(np.diff(nontrivial) < DEGENERACY_TOL * np.maximum(1.0, nontrivial[1:])))
+    return vals, vecs[:, : m + 1], flag
+
+
+PARITY_GRAPHS = {
+    "cubic6000": lambda: random_regular(6000, 3, 0),
+    "cubic20000": lambda: random_regular(20000, 3, 0),
+    "cycle3000": lambda: cycle_graph(3000),
+    "torus60x60": lambda: torus_graph(60),
+    "path2050": lambda: path_graph(2050),
+    "complete450": lambda: complete_graph(450),
+    "star450": lambda: star_graph(449),
+    "barbell2x250": lambda: barbell_graph(250),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_GRAPHS))
+def test_filtered_solve_matches_shifted_solve(name):
+    m = 5
+    lap = normalized_laplacian(PARITY_GRAPHS[name]())
+    ref_vals, ref_vecs, ref_flag = shifted_reference(lap, m)
+    basis = low_frequency_basis(lap, m)
+    assert np.max(np.abs(solved_values(basis) - ref_vals)) < 1e-10
+    assert basis.degeneracy_flag == ref_flag
+    assert basis.next_eigenvalue == pytest.approx(ref_vals[-1], abs=1e-10)
+    # Compare the retained columns up to the last eigenvalue gap, so that
+    # both spans consist of whole eigenspaces.
+    gaps = np.diff(ref_vals) >= DEGENERACY_TOL * np.maximum(1.0, ref_vals[1:])
+    whole = 1 + int(np.flatnonzero(gaps)[-1])
+    overlap = ref_vecs[:, :whole].T @ basis.vectors[:, :whole]
+    assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-8)
+    if all(run == 1 for run in multiplicities(ref_vals)):
+        reference = SpectralBasis(eigenvalues=ref_vals[:-1], vectors=ref_vecs, degeneracy_flag=ref_flag)
+        for eta in (0.1, 0.3, 1.0, 2.0):
+            ours = quantize_absolute(energy_embedding(basis, m, scaled=True), eta)
+            theirs = quantize_absolute(energy_embedding(reference, m, scaled=True), eta)
+            assert np.array_equal(ours.codes, theirs.codes), eta
 
 
 class TestEnergyEmbedding:
