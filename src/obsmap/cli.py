@@ -34,17 +34,17 @@ from .harness import (
     QUANTIZERS,
     STRATEGIES,
     SweepConfig,
+    _aggregate,
     _GraphCodes,
+    _sweep_config,
     analyze_records,
     anchor_seed_for,
     kemp_table,
-    parse_sweep_config,
     read_csv_rows,
     run_sweep,
     write_csv,
     write_records_csv,
 )
-from .observation import sequential_sum
 from .spectral import energy_embedding, write_basis_tsv, write_embedding_tsv
 
 
@@ -137,10 +137,6 @@ def _cmd_graph_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mean(values: list[float]) -> float:
-    return sequential_sum(values) / len(values)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g, r = _load_graph(args)
     scaled = _parse_bool(args.scaled)
@@ -171,17 +167,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             energy_embedding(graph_codes.basis(), args.m, scaled), args.embedding_tsv
         )
 
-    errors = [rec.error for rec in records]
-    mean_error = _mean(errors)
-    std_error = (_mean([(e - mean_error) ** 2 for e in errors])) ** 0.5
+    (agg,) = _aggregate(records).values()
     print(f"n {g.n}")
     print(f"resamples {len(records)}")
-    print(f"error {mean_error:.6g} +- {std_error:.6g}")
-    print(f"image_frac {_mean([rec.image_frac for rec in records]):.6g}")
-    print(f"mean_preimage {_mean([rec.mean_preimage for rec in records]):.6g}")
-    print(f"singleton_frac {_mean([rec.singleton_frac for rec in records]):.6g}")
+    print(f"error {agg.means['error']:.6g} +- {agg.stds['error']:.6g}")
+    for metric in ("image_frac", "mean_preimage", "singleton_frac"):
+        print(f"{metric} {agg.means[metric]:.6g}")
     print(f"codebook_size {records[0].codebook_size}")
-    print(f"profile_count {_mean([float(rec.profile_count) for rec in records]):.6g}")
+    print(f"profile_count {agg.means['profile_count']:.6g}")
     generic_ok = all(rec.bounds_ok for rec in records)
     refined_na = sum(1 for rec in records if rec.refined_bound is None)
     print(f"bounds_ok {'true' if generic_ok else 'false'}")
@@ -233,53 +226,18 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    text = ""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_sweep_config(fh.read())
-        overrides = {}
-        if args.n:
-            overrides["n_list"] = tuple(args.n)
-        if args.k:
-            overrides["k_list"] = tuple(args.k)
-        if args.m:
-            overrides["m_list"] = tuple(args.m)
-        if args.eta:
-            overrides["eta_list"] = tuple(args.eta)
-    else:
-        if not (args.n and args.k and args.m and args.eta):
-            raise ValueError("without --config, pass --n, --k, --m, and --eta")
-        overrides = {
-            "n_list": tuple(args.n),
-            "k_list": tuple(args.k),
-            "m_list": tuple(args.m),
-            "eta_list": tuple(args.eta),
-        }
-        cfg = None
-    scalar_overrides = {
-        "trials": args.trials,
-        "anchor_resamples": args.resamples,
-        "r": args.r,
-        "quantizer": args.quantizer,
-        "feature": args.feature,
-        "anchor_strategy": args.strategy,
-        "seed": args.seed,
-        "error_threshold": args.threshold,
-    }
-    if args.scaled is not None:
-        scalar_overrides["scaled"] = _parse_bool(args.scaled)
-    for key, value in scalar_overrides.items():
+            text = fh.read()
+    # Each sweep flag's dest is the SweepConfig field it sets.
+    flags = {}
+    for field in dataclasses.fields(SweepConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
-    if cfg is None:
-        cfg = SweepConfig(**overrides)
-    elif overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-
-    total_points = (
-        len(cfg.n_list) * len(cfg.k_list) * len(cfg.m_list) * len(cfg.eta_list)
-        * cfg.trials * cfg.anchor_resamples
-    )
-    print(f"sweep: {total_points} trial rows", file=sys.stderr)
+            flags[field.name] = _parse_bool(value) if field.name == "scaled" else value
+    cfg = _sweep_config(text, flags)
+    print(f"sweep: {sum(1 for _ in cfg.points())} trial rows", file=sys.stderr)
 
     def progress(done: int, total: int) -> None:
         step = max(1, total // 20)
@@ -341,20 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="run a parameter sweep to CSV")
-    p.add_argument("--config", metavar="PATH", help="key=value grid file")
-    p.add_argument("--n", action="append", type=int, help="grid n (repeatable)")
-    p.add_argument("--k", action="append", type=int, help="grid k (repeatable)")
-    p.add_argument("--m", action="append", type=int, help="grid m (repeatable)")
-    p.add_argument("--eta", action="append", help="grid eta (repeatable, decimal strings)")
+    p.add_argument("--config", metavar="PATH", help="key=value grid file; each flag below overrides its key")
+    p.add_argument("--n", dest="n_list", action="append", type=int, help="grid n (repeatable)")
+    p.add_argument("--k", dest="k_list", action="append", type=int, help="grid k (repeatable)")
+    p.add_argument("--m", dest="m_list", action="append", type=int, help="grid m (repeatable)")
+    p.add_argument("--eta", dest="eta_list", action="append", help="grid eta (repeatable, decimal strings)")
     p.add_argument("--trials", type=int, help="graphs per grid cell")
-    p.add_argument("--resamples", type=int, help="anchor draws per graph")
+    p.add_argument("--resamples", dest="anchor_resamples", type=int, help="anchor draws per graph")
     p.add_argument("--r", type=int, help="regular degree")
     p.add_argument("--quantizer", choices=QUANTIZERS)
     p.add_argument("--scaled", metavar="BOOL", help="true/false")
     p.add_argument("--feature", choices=FEATURES)
-    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--strategy", dest="anchor_strategy", choices=STRATEGIES)
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threshold", type=float, help="error threshold for k_emp")
     p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
     p.add_argument("--timings", action="store_true", help="put wall times in the CSV")
     p.add_argument("--out", metavar="PATH", required=True, help="CSV output path")

@@ -89,17 +89,6 @@ QUANTIZERS = ("absolute", "relative")
 FEATURES = ("nope", "distance", "spectral", "full")
 STRATEGIES = ("random", "degree", "farthest")
 
-CSV_COLUMNS = (
-    "n", "r", "k", "m", "eta", "quantizer", "scaled", "feature",
-    "anchor_strategy", "trial", "resample", "seed", "error", "image_frac",
-    "mean_preimage", "singleton_frac", "codebook_size", "profile_count",
-    "singleton_bucket_frac", "weighted_collision", "median_code_ratio",
-    "q90_balance", "generic_bound", "refined_bound", "bounds_ok",
-    "wall_time_ms",
-)
-
-# Metric columns; a failed trial writes the failure marker in each of them.
-_METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("error"):]
 _FAILURE_MARKER = "error"
 _NA = "n/a"
 
@@ -212,16 +201,20 @@ class ConfigPoint:
 
     def effective_dims(self) -> tuple[int, int]:
         """(active anchor count, active embedding width) under the feature."""
-        if self.feature == "nope":
-            return 0, 0
-        if self.feature == "distance":
-            return self.k, 0
-        if self.feature == "spectral":
-            return 0, self.m
-        return self.k, self.m
+        return _effective_dims(self.feature, self.k, self.m)
 
     def grid_key(self) -> tuple:
         return _grid_key(self)
+
+
+def _effective_dims(feature: str, k: int, m: int) -> tuple[int, int]:
+    if feature == "nope":
+        return 0, 0
+    if feature == "distance":
+        return k, 0
+    if feature == "spectral":
+        return 0, m
+    return k, m
 
 
 def _as_int_tuple(values: Iterable[int], name: str) -> tuple[int, ...]:
@@ -341,6 +334,14 @@ class TrialRecord:
 
     def grid_key(self) -> tuple:
         return _grid_key(self)
+
+
+# The CSV schema: every TrialRecord field but the two the CSV does not write.
+CSV_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(TrialRecord) if f.name not in ("degenerate", "failure")
+)
+# Metric columns; a failed trial writes the failure marker in each of them.
+_METRIC_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("error"):]
 
 
 @dataclass(frozen=True)
@@ -531,9 +532,20 @@ def evaluate_instance(
     return _report(build_observation(g, anchors, codes), table)
 
 
-def _record_from_report(
-    identity: dict, seed: int, report: InstanceReport, wall_ms: float
-) -> TrialRecord:
+def _record(identity: dict, seed: int, graph_codes: _GraphCodes) -> TrialRecord:
+    """The one record builder: the row of identity (ConfigPoint's fields)
+    on graph_codes's graph. seed is the seed the record carries and the
+    base of its anchor seed. The wall time includes the anchor stage and
+    the code table when this row is the first to build them."""
+    start = time.perf_counter()
+    k, strategy = identity["k"], identity["anchor_strategy"]
+    k_eff, m_eff = _effective_dims(identity["feature"], k, identity["m"])
+    aseed = anchor_seed_for(seed, k, strategy, identity["resample"])
+    report = graph_codes.report(
+        m_eff, float(identity["eta"]), identity["quantizer"], identity["scaled"],
+        k_eff, strategy, aseed,
+    )
+    wall_ms = (time.perf_counter() - start) * 1000.0
     stats = report.stats
     base = report.diagnostics.level(2)
     bounds = report.bounds
@@ -576,22 +588,6 @@ def _anchor_set_key(point: ConfigPoint) -> tuple:
     return (point.effective_dims()[0], point.k, point.anchor_strategy, point.resample)
 
 
-def _instance_record(
-    point: ConfigPoint, graph_seed: int, graph_codes: _GraphCodes
-) -> TrialRecord:
-    """One point's record. Its wall time includes the anchor stage and the
-    code table when this row is the first to build them."""
-    start = time.perf_counter()
-    k_eff, m_eff = point.effective_dims()
-    aseed = anchor_seed_for(graph_seed, point.k, point.anchor_strategy, point.resample)
-    report = graph_codes.report(
-        m_eff, point.eta_float, point.quantizer, point.scaled,
-        k_eff, point.anchor_strategy, aseed,
-    )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return _record_from_report(_point_identity(point), graph_seed, report, wall_ms)
-
-
 def _point_label(point: ConfigPoint) -> str:
     return (
         f"n={point.n} r={point.r} k={point.k} m={point.m} eta={point.eta} "
@@ -610,8 +606,7 @@ def run_trial(point: ConfigPoint, master_seed: int) -> TrialRecord:
     try:
         gseed = graph_seed_for(master_seed, point.n, point.r, point.trial)
         g = random_regular(point.n, point.r, gseed)
-        graph_codes = _GraphCodes(g, point.effective_dims()[1])
-        return _instance_record(point, gseed, graph_codes)
+        return _record(_point_identity(point), gseed, _GraphCodes(g, point.effective_dims()[1]))
     except Exception as exc:
         message = f"{_point_label(point)}: {exc}"
         try:
@@ -655,20 +650,11 @@ def analyze_records(
 
     if graph_codes is None:
         graph_codes = _GraphCodes(g, m)
-    records = []
-    for i in range(resamples):
-        start = time.perf_counter()
-        aseed = anchor_seed_for(seed, k, anchor_strategy, i)
-        report = graph_codes.report(
-            m, float(eta), quantizer, scaled, k, anchor_strategy, aseed
-        )
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        identity = dict(
-            n=g.n, r=r, k=k, m=m, eta=eta, quantizer=quantizer, scaled=scaled,
-            feature="full", anchor_strategy=anchor_strategy, trial=0, resample=i,
-        )
-        records.append(_record_from_report(identity, seed, report, wall_ms))
-    return records
+    identity = dict(
+        n=g.n, r=r, k=k, m=m, eta=eta, quantizer=quantizer, scaled=scaled,
+        feature="full", anchor_strategy=anchor_strategy, trial=0,
+    )
+    return [_record({**identity, "resample": i}, seed, graph_codes) for i in range(resamples)]
 
 
 def _run_job(
@@ -690,7 +676,7 @@ def _run_job(
     out = []
     for idx, point in sorted(indexed_points, key=lambda item: _anchor_set_key(item[1])):
         try:
-            out.append((idx, _instance_record(point, gseed, graph_codes)))
+            out.append((idx, _record(_point_identity(point), gseed, graph_codes)))
         except Exception as exc:
             out.append((idx, _failure_record(point, gseed, str(exc))))
     return out
@@ -962,22 +948,32 @@ def kemp_table(rows: Sequence[Mapping[str, str]], threshold: float) -> list[Kemp
     return out
 
 
-_LIST_FIELDS = {
-    "n_list": "n_list", "n": "n_list",
-    "k_list": "k_list", "k": "k_list",
-    "m_list": "m_list", "m": "m_list",
-    "eta_list": "eta_list", "eta": "eta_list",
+# Config keys onto the SweepConfig fields they set: every field's own name,
+# and the short names that the sweep command's flags also use.
+_SWEEP_KEYS = {
+    **{f.name: f.name for f in dataclasses.fields(SweepConfig)},
+    "n": "n_list", "k": "k_list", "m": "m_list", "eta": "eta_list",
+    "resamples": "anchor_resamples", "strategy": "anchor_strategy",
+    "threshold": "error_threshold",
 }
-_INT_FIELDS = {
-    "trials": "trials",
-    "anchor_resamples": "anchor_resamples", "resamples": "anchor_resamples",
-    "r": "r",
-    "seed": "seed",
-}
-_STR_FIELDS = {
-    "quantizer": "quantizer",
-    "feature": "feature",
-    "anchor_strategy": "anchor_strategy", "strategy": "anchor_strategy",
+
+
+def _true_false(value: str) -> bool:
+    token = value.lower()
+    if token not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return token == "true"
+
+
+# How a config value becomes a field, keyed by the field's SweepConfig
+# annotation as written, and what a value that does not parse needs to be.
+_PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
+    "Sequence[int]": (lambda v: tuple(int(t) for t in _tokens(v)), "integers"),
+    "Sequence[str]": (lambda v: tuple(_tokens(v)), "a list"),
+    "int": (lambda v: int(v.strip('"')), "an integer"),
+    "float": (lambda v: float(v.strip('"')), "a number"),
+    "str": (lambda v: v.strip('"'), "text"),
+    "bool": (lambda v: _true_false(v.strip('"')), "true or false"),
 }
 
 
@@ -1001,13 +997,10 @@ def _tokens(value: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse the key=value sweep grid format.
-
-    One `key = value` per line; `#` starts a comment; list values are
-    bracketed or bare comma lists. eta values keep their exact decimal
-    spelling. Unknown keys are rejected.
-    """
+def _sweep_config(text: str, flags: Mapping[str, object]) -> SweepConfig:
+    """The SweepConfig of a key = value config text, where flags, keyed by
+    field name, override the fields the text sets."""
+    types = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -1020,40 +1013,27 @@ def parse_sweep_config(text: str) -> SweepConfig:
         value = value.strip()
         if not value:
             raise ValueError(f"config line {lineno}: empty value for {key!r}")
-        if key in _LIST_FIELDS:
-            field = _LIST_FIELDS[key]
-            tokens = _tokens(value)
-            if field == "eta_list":
-                fields[field] = tuple(tokens)
-            else:
-                try:
-                    fields[field] = tuple(int(t) for t in tokens)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"config line {lineno}: {field} needs integers"
-                    ) from exc
-        elif key in _INT_FIELDS:
-            try:
-                fields[_INT_FIELDS[key]] = int(value.strip('"'))
-            except ValueError as exc:
-                raise ValueError(f"config line {lineno}: {key} needs an integer") from exc
-        elif key in _STR_FIELDS:
-            fields[_STR_FIELDS[key]] = value.strip('"')
-        elif key == "scaled":
-            token = value.strip('"').lower()
-            if token not in ("true", "false"):
-                raise ValueError(f"config line {lineno}: scaled needs true or false")
-            fields["scaled"] = token == "true"
-        elif key in ("error_threshold", "threshold"):
-            try:
-                fields["error_threshold"] = float(value.strip('"'))
-            except ValueError as exc:
-                raise ValueError(
-                    f"config line {lineno}: error_threshold needs a number"
-                ) from exc
-        else:
+        if key not in _SWEEP_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    for required in ("n_list", "k_list", "m_list", "eta_list"):
-        if required not in fields:
-            raise ValueError(f"config is missing {required}")
+        field = _SWEEP_KEYS[key]
+        parse, needs = _PARSERS[types[field]]
+        try:
+            fields[field] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key} needs {needs}") from exc
+    fields.update(flags)
+    for field in ("n_list", "k_list", "m_list", "eta_list"):
+        if field not in fields:
+            key = field.removesuffix("_list")
+            raise ValueError(f"{field} missing: pass --{key} or set {key} in --config")
     return SweepConfig(**fields)  # type: ignore[arg-type]
+
+
+def parse_sweep_config(text: str) -> SweepConfig:
+    """Parse the key=value sweep grid format.
+
+    One `key = value` per line; `#` starts a comment; list values are
+    bracketed or bare comma lists. eta values keep their exact decimal
+    spelling. Unknown keys are rejected.
+    """
+    return _sweep_config(text, {})

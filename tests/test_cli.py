@@ -17,6 +17,8 @@ from obsmap.harness import (
     analyze_records,
     anchor_seed_for,
     evaluate_instance,
+    graph_seed_for,
+    read_csv_rows,
     select_anchors,
 )
 from obsmap.spectral import empty_embedding, quantize_absolute
@@ -389,10 +391,72 @@ class TestSweep:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    # flag, config line it overrides, flag value, CSV column, expected column values
+    OVERRIDES = [
+        ("--n", "n = [30]", "40", "n", {"40"}),
+        ("--k", "k = [1]", "2", "k", {"2"}),
+        ("--m", "m = [0]", "1", "m", {"1"}),
+        ("--eta", "eta = [0.5]", "0.25", "eta", {"0.25"}),
+        ("--trials", "trials = 1", "2", "trial", {"0", "1"}),
+        ("--resamples", "resamples = 3", "2", "resample", {"0", "1"}),
+        ("--r", "r = 4", "5", "r", {"5"}),
+        ("--quantizer", "quantizer = absolute", "relative", "quantizer", {"relative"}),
+        ("--scaled", "scaled = true", "false", "scaled", {"false"}),
+        ("--feature", "feature = spectral", "distance", "feature", {"distance"}),
+        ("--strategy", "strategy = degree", "farthest", "anchor_strategy", {"farthest"}),
+        ("--seed", "seed = 3", "5", "seed", {str(graph_seed_for(5, 30, 3, 0))}),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, line, value, column, expected", OVERRIDES, ids=[o[0] for o in OVERRIDES])
+    def test_flag_overrides_config_key(
+        self, capsys, tmp_path, flag, line, value, column, expected
+    ):
+        cfg = tmp_path / "grid.cfg"
+        grid = {"n": "n = [30]", "k": "k = [1]", "m": "m = [0]", "eta": "eta = [0.5]"}
+        grid[line.split(" =")[0]] = line
+        cfg.write_text("\n".join([*grid.values(), "trials = 1"]) + "\n")
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", str(cfg), flag, value,
+            "--jobs", "1", "--out", str(out))
+        assert code == 0
+        assert {row[column] for row in read_csv_rows(str(out))} == expected
+
+    def test_row_count_ignores_duplicate_grid_values(self, capsys, tmp_path):
+        out = tmp_path / "dup.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "40", "--k", "1", "--k", "1", "--m", "0",
+            "--eta", "0.5", "--trials", "2", "--jobs", "1", "--out", str(out))
+        assert code == 0
+        assert "sweep: 2 trial rows" in err
+        assert len(out.read_text().splitlines()) == 1 + 2
+
     def test_missing_grid_flags_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "sweep", "--n", "30", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_missing_grid_error_names_flag_and_key(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "30", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "k_list missing: pass --k or set k in --config" in err
+
+    def test_flags_complete_a_partial_config(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = [30]\nm = [0]\ntrials = 1\n")
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", str(cfg), "--k", "2", "--eta", "0.5",
+            "--jobs", "1", "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_threshold_flag_removed(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--n", "30", "--k", "1", "--m", "0", "--eta", "0.5",
+                  "--threshold", "0.5", "--out", str(tmp_path / "x.csv")])
 
     def test_invalid_grid_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

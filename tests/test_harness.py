@@ -658,6 +658,16 @@ class TestKempTable:
 
 
 class TestCsv:
+    def test_header_names_pinned(self):
+        assert CSV_COLUMNS == (
+            "n", "r", "k", "m", "eta", "quantizer", "scaled", "feature",
+            "anchor_strategy", "trial", "resample", "seed", "error", "image_frac",
+            "mean_preimage", "singleton_frac", "codebook_size", "profile_count",
+            "singleton_bucket_frac", "weighted_collision", "median_code_ratio",
+            "q90_balance", "generic_bound", "refined_bound", "bounds_ok",
+            "wall_time_ms",
+        )
+
     def test_header_only_for_no_records(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_records_csv([], str(path))
@@ -819,7 +829,6 @@ class TestStatisticalBehavior:
         assert 0.0 <= mean <= 0.03
 
 
-@pytest.mark.slow
 def test_bucketwise_regime_table_full_protocol():
     # Full 20x10 protocol on cubic graphs at n=2000. Published row values:
     # weighted collision 0.727 / 0.253 / 4.45e-4 (+-30%), overall error
