@@ -36,6 +36,7 @@ from .harness import (
     SweepConfig,
     _aggregate,
     _GraphCodes,
+    _parse_bool,
     _sweep_config,
     analyze_records,
     anchor_seed_for,
@@ -56,15 +57,6 @@ def _parse_regular(text: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ValueError(f"expected integers N,R, got {text!r}") from exc
-
-
-def _parse_bool(text: str) -> bool:
-    token = text.strip().lower()
-    if token in ("true", "1", "yes"):
-        return True
-    if token in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, int | None]:

@@ -958,11 +958,14 @@ _SWEEP_KEYS = {
 }
 
 
-def _true_false(value: str) -> bool:
-    token = value.lower()
-    if token not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return token == "true"
+def _parse_bool(text: str) -> bool:
+    """The one grammar of a boolean setting, in a config file or a flag."""
+    token = text.strip().lower()
+    if token in ("true", "1", "yes"):
+        return True
+    if token in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
 
 
 # How a config value becomes a field, keyed by the field's SweepConfig
@@ -973,7 +976,7 @@ _PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
     "int": (lambda v: int(v.strip('"')), "an integer"),
     "float": (lambda v: float(v.strip('"')), "a number"),
     "str": (lambda v: v.strip('"'), "text"),
-    "bool": (lambda v: _true_false(v.strip('"')), "true or false"),
+    "bool": (lambda v: _parse_bool(v.strip('"')), "true or false"),
 }
 
 

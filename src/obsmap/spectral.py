@@ -16,13 +16,20 @@ damped interval starts at a Rayleigh-Ritz upper bound from a short Lanczos
 pass, and every returned eigenvalue is checked to lie below it. One pair
 beyond the retained ones is solved so the degeneracy flag also sees the
 retention boundary, and a basis solved once at the largest m needed can be
-cut down per m with SpectralBasis.leading.
+cut down per m with SpectralBasis.leading. Both solves run with the OpenBLAS
+bundled with numpy and scipy on one thread, and give each library its
+thread count back when they return.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -87,6 +94,14 @@ _START_SEED = 0
 
 # First entry of a column larger than this in absolute value decides the sign.
 _SIGN_TOL = 1e-12
+
+# Thread-count getter and setter pairs that the OpenBLAS builds bundled with
+# the numpy and scipy wheels export, in the order they are tried.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class EigenSolverError(RuntimeError):
@@ -275,9 +290,9 @@ def _ritz_cut(lap: sp.csr_matrix, start: np.ndarray, k: int) -> float | None:
     for j in range(steps):
         block[j] = q
         w = lap @ q
-        # Classical Gram-Schmidt twice against every earlier vector. einsum
-        # keeps these products off BLAS, whose worker threads would keep
-        # spinning and slow the layers that run after the solve.
+        # Classical Gram-Schmidt twice against every earlier vector. The
+        # products stay in einsum: BLAS would sum in another order, move the
+        # last bits of the cut and with them every vector solved on it.
         alpha[j] = 0.0
         for _ in range(2):
             coef = np.einsum("ij,j->i", block[: j + 1], w)
@@ -293,45 +308,114 @@ def _ritz_cut(lap: sp.csr_matrix, start: np.ndarray, k: int) -> float | None:
     return cut if cut <= _MAX_CUT else None
 
 
+@cache
+def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """Thread-count getter and setter of each OpenBLAS that numpy or scipy
+    ships beside itself (numpy.libs/, scipy.libs/) and that is already
+    loaded; empty where there is none or the platform cannot tell.
+
+    RTLD_NOLOAD only attaches to a library the process has loaded, so the
+    lookup loads nothing. It runs on the first solve, not on import.
+    """
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return ()
+    controls = []
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        pattern = os.path.join(site, package.__name__ + ".libs", "*openblas*")
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path, mode=noload | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    controls.append((getter, setter))
+                    break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Context manager that runs every bundled OpenBLAS on one thread and
+    then restores each library's previous count, also on an exception.
+
+    ARPACK's reorthogonalisation runs on BLAS, whose worker threads would
+    keep spinning after the solve and, in a process pool, compete with the
+    other workers for the cores. Nested or concurrent solves share one pin:
+    the first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple[Callable[[int], None], int]] = []
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(setter, getter()) for getter, setter in _openblas_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+
+
+# One per process, as the thread counts it pins are.
+_one_blas_thread = _OneBlasThread()
+
+
 def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom k eigenpairs, ascending, from a dense or a Lanczos solve."""
-    n = op.shape[0]
-    # Dense below the crossover, and when k is not well below n: ARPACK
-    # needs k < n, and a Krylov space of 2k+1 vectors near n costs more than
-    # the dense solve.
-    if n <= _DENSE_MAX_N or 4 * k > n:
-        dense = op.toarray() if sp.issparse(op) else op
-        return scipy.linalg.eigh(dense, subset_by_index=(0, k - 1))
-    # Lanczos on a Chebyshev filter that damps [cut, 2], the rest of a
-    # normalized Laplacian's spectrum, into [-1, 1]: fewer ARPACK steps, each
-    # made of _FILTER_DEGREE cheap sparse products. Without a usable cut the
-    # operator is 2I - op. Either way the wanted values of the operator lie
-    # near 1 or above, where ARPACK's test, relative to the Ritz value, is
-    # about as strict as an absolute one.
-    lap = sp.csr_matrix(op)
-    start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
-    cut = _ritz_cut(lap, start, k)
-    if cut is None:
-        operator = _ChebyshevFilter(lap, 2.0, 1.0, 1)
-    else:
-        operator = _ChebyshevFilter(lap, 1.0 + cut / 2.0, 1.0 - cut / 2.0, _FILTER_DEGREE)
-    # tol=0 (machine precision) stays although RESIDUAL_TOL is far looser:
-    # at tol=1e-10 Lanczos on C_3000 or the 60x60 torus converges to one
-    # copy of each doubled eigenvalue and skips the other. Every pair it
-    # returns is a true eigenpair, so neither the residual check nor the
-    # degeneracy flag can see the missing one. The filter cuts the number
-    # of steps to reach machine precision instead of the precision.
-    try:
-        _, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="LA", v0=start, tol=0)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise EigenSolverError(f"Lanczos solve did not converge: {exc}") from exc
-    vals = np.einsum("ij,ij->j", vecs, lap @ vecs)
-    if cut is not None and np.any(vals >= cut):
-        raise EigenSolverError(
-            f"Lanczos eigenvalue {float(np.max(vals)):.6g} is not below the filter cut {cut:.6g}"
-        )
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    """Bottom k eigenpairs, ascending, from a dense or a Lanczos solve run
+    on one BLAS thread."""
+    with _one_blas_thread:
+        n = op.shape[0]
+        # Dense below the crossover, and when k is not well below n: ARPACK
+        # needs k < n, and a Krylov space of 2k+1 vectors near n costs more
+        # than the dense solve.
+        if n <= _DENSE_MAX_N or 4 * k > n:
+            dense = op.toarray() if sp.issparse(op) else op
+            return scipy.linalg.eigh(dense, subset_by_index=(0, k - 1))
+        # Lanczos on a Chebyshev filter that damps [cut, 2], the rest of a
+        # normalized Laplacian's spectrum, into [-1, 1]: fewer ARPACK steps,
+        # each made of _FILTER_DEGREE cheap sparse products. Without a usable
+        # cut the operator is 2I - op. Either way the wanted values of the
+        # operator lie near 1 or above, where ARPACK's test, relative to the
+        # Ritz value, is about as strict as an absolute one.
+        lap = sp.csr_matrix(op)
+        start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+        cut = _ritz_cut(lap, start, k)
+        if cut is None:
+            operator = _ChebyshevFilter(lap, 2.0, 1.0, 1)
+        else:
+            operator = _ChebyshevFilter(lap, 1.0 + cut / 2.0, 1.0 - cut / 2.0, _FILTER_DEGREE)
+        # tol=0 (machine precision) stays although RESIDUAL_TOL is far
+        # looser: at tol=1e-10 Lanczos on C_3000 or the 60x60 torus converges
+        # to one copy of each doubled eigenvalue and skips the other. Every
+        # pair it returns is a true eigenpair, so neither the residual check
+        # nor the degeneracy flag can see the missing one. The filter cuts the
+        # number of steps to reach machine precision instead of the precision.
+        try:
+            _, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="LA", v0=start, tol=0)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise EigenSolverError(f"Lanczos solve did not converge: {exc}") from exc
+        vals = np.einsum("ij,ij->j", vecs, lap @ vecs)
+        if cut is not None and np.any(vals >= cut):
+            raise EigenSolverError(
+                f"Lanczos eigenvalue {float(np.max(vals)):.6g} is not below "
+                f"the filter cut {cut:.6g}"
+            )
+        order = np.argsort(vals, kind="stable")
+        return vals[order], vecs[:, order]
 
 
 def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:

@@ -453,6 +453,32 @@ class TestSweep:
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("token, column", [("yes", "true"), ("no", "false")])
+    def test_scaled_config_and_flag_share_one_grammar(self, capsys, tmp_path, token, column):
+        grid = "n = [30]\nk = [1]\nm = [1]\neta = [0.5]\ntrials = 1\n"
+        with_key = tmp_path / "with_key.cfg"
+        with_key.write_text(grid + f"scaled = {token}\n")
+        without_key = tmp_path / "without_key.cfg"
+        without_key.write_text(grid)
+        a, b = tmp_path / "config.csv", tmp_path / "flag.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", str(with_key), "--jobs", "1", "--out", str(a))
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "sweep", "--config", str(without_key), "--scaled", token,
+            "--jobs", "1", "--out", str(b))
+        assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert {row["scaled"] for row in read_csv_rows(str(a))} == {column}
+
+    def test_bad_scaled_config_value_names_line(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = [30]\nk = [1]\nm = [0]\neta = [0.5]\nscaled = maybe\n")
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "config line 5: scaled needs true or false" in err
+
     def test_threshold_flag_removed(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--n", "30", "--k", "1", "--m", "0", "--eta", "0.5",

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -335,6 +339,135 @@ class TestLowFrequencyBasis:
         a = low_frequency_basis(lap, 2)
         b = low_frequency_basis(lap.toarray(), 2)
         assert np.allclose(a.vectors, b.vectors, atol=1e-10)
+
+
+def blas_thread_counts() -> list[int]:
+    return [getter() for getter, _ in spectral._openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every bundled OpenBLAS set to 2 threads for the test, then reset."""
+    controls = spectral._openblas_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS thread setter is loaded")
+    saved = blas_thread_counts()
+    for _, setter in controls:
+        setter(2)
+    yield
+    for (_, setter), count in zip(controls, saved):
+        setter(count)
+
+
+# Reads the thread count of each bundled OpenBLAS before and after
+# `import obsmap`, without obsmap's own lookup, and checks that the import
+# looked nothing up.
+IMPORT_PROBE = """
+import ctypes, glob, os
+import numpy, scipy, scipy.linalg, scipy.sparse.linalg
+
+def counts():
+    out = []
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return out
+    for pkg in (numpy, scipy):
+        site = os.path.dirname(os.path.dirname(pkg.__file__))
+        for path in sorted(glob.glob(os.path.join(site, pkg.__name__ + ".libs", "*openblas*"))):
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            for name in ("scipy_openblas_get_num_threads",
+                         "scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(lib, name):
+                    out.append(getattr(lib, name)())
+                    break
+    return out
+
+before = counts()
+import obsmap
+from obsmap import spectral
+assert spectral._openblas_controls.cache_info().currsize == 0, "import looked up BLAS"
+assert counts() == before, (before, counts())
+"""
+
+
+class TestBlasThreadPin:
+    def test_solves_run_on_one_thread(self, monkeypatch, two_blas_threads):
+        seen = []
+
+        def recording(solver):
+            def run(*args, **kwargs):
+                seen.append((solver.__name__, blas_thread_counts()))
+                return solver(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording(scipy.sparse.linalg.eigsh))
+        monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
+        low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 5)
+        low_frequency_basis(normalized_laplacian(random_regular(200, 3, 1)), 5)
+        assert [name for name, _ in seen] == ["eigsh", "eigh"]
+        assert all(set(counts) == {1} for _, counts in seen)
+
+    def test_count_restored_after_solve(self, two_blas_threads):
+        low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 5)
+        low_frequency_basis(normalized_laplacian(random_regular(200, 3, 1)), 5)
+        assert set(blas_thread_counts()) == {2}
+
+    def test_count_restored_after_solver_error(self, monkeypatch, two_blas_threads):
+        def stalled(*args, **kwargs):
+            assert set(blas_thread_counts()) == {1}
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(EigenSolverError, match="did not converge"):
+            low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
+        assert set(blas_thread_counts()) == {2}
+
+    def test_nested_pins_restore_the_outer_count(self, two_blas_threads):
+        with spectral._one_blas_thread:
+            with spectral._one_blas_thread:
+                assert set(blas_thread_counts()) == {1}
+            assert set(blas_thread_counts()) == {1}
+        assert set(blas_thread_counts()) == {2}
+
+    def test_concurrent_pins_keep_one_thread_and_restore(self, two_blas_threads):
+        inside: list[list[int]] = []
+
+        def pin_repeatedly():
+            for _ in range(300):
+                with spectral._one_blas_thread:
+                    inside.append(blas_thread_counts())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pin_repeatedly) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(inside) == 6 * 300
+        assert all(set(counts) == {1} for counts in inside)
+        assert set(blas_thread_counts()) == {2}
+
+    def test_import_leaves_thread_state_alone(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("n", [2000, 6000])
+    def test_basis_bit_identical_without_pin(self, monkeypatch, two_blas_threads, n):
+        lap = normalized_laplacian(random_regular(n, 3, 0))
+        pinned = low_frequency_basis(lap, 5)
+        monkeypatch.setattr(spectral, "_openblas_controls", lambda: ())
+        unpinned = low_frequency_basis(lap, 5)
+        assert np.array_equal(pinned.eigenvalues, unpinned.eigenvalues)
+        assert np.array_equal(pinned.vectors, unpinned.vectors)
+        assert pinned.next_eigenvalue == unpinned.next_eigenvalue
 
 
 def barbell_graph(clique: int):
