@@ -30,6 +30,7 @@ from .graphs import (
     write_edge_list,
 )
 from .harness import (
+    DEFAULT_THRESHOLD,
     FEATURES,
     QUANTIZERS,
     STRATEGIES,
@@ -101,6 +102,10 @@ def _add_observation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", default="0.1", help="quantization scale (decimal string, kept verbatim)")
     parser.add_argument("--quantizer", default="absolute", choices=QUANTIZERS, help="quantization rule")
     parser.add_argument("--scaled", default="true", metavar="BOOL", help="scale embedding entries by n (true/false)")
+
+
+def _or_na(value: object, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
 
 
 def _cmd_gen_regular(args: argparse.Namespace) -> int:
@@ -200,10 +205,7 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
             ("median_code_ratio", level.median_code_ratio),
             ("q90_balance", level.q90_balance),
         ):
-            if value is None:
-                print(f"{prefix}.{name} n/a")
-            else:
-                print(f"{prefix}.{name} {value:.6g}")
+            print(f"{prefix}.{name} {_or_na(value, '.6g')}")
     if diag.sizes.size and args.top > 0:
         print("largest buckets (profile size codes collision balance):")
         # Size descending, then profile ascending; lexsort's last key is primary.
@@ -246,18 +248,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_kemp(args: argparse.Namespace) -> int:
-    rows = read_csv_rows(args.in_path)
-    table = kemp_table(rows, float(args.threshold))
+    table = kemp_table(read_csv_rows(args.in_path), args.threshold)
+    settings = [
+        f"# r={_or_na(row.r, 'd')} quantizer={row.quantizer} scaled={str(row.scaled).lower()} "
+        f"feature={row.feature} strategy={row.anchor_strategy}" for row in table
+    ]
     print(f"{'n':>6} {'m':>3} {'eta':>8} {'k_emp':>5} {'rho_eng':>8} "
           f"{'image_frac':>10} {'preimage':>9} {'codebook':>9}")
-    for row in table:
+    # A CSV joining several settings names each before its rows.
+    shown = settings[0] if len(set(settings)) == 1 else None
+    for row, setting in zip(table, settings):
+        if setting != shown:
+            print(setting)
+            shown = setting
         k_text = "none" if row.k_emp is None else str(row.k_emp)
-        rho_text = "n/a" if row.rho is None else f"{row.rho:.3f}"
-        im_text = "n/a" if row.image_frac is None else f"{row.image_frac:.4f}"
-        pre_text = "n/a" if row.mean_preimage is None else f"{row.mean_preimage:.4f}"
-        cb_text = "n/a" if row.codebook is None else f"{row.codebook:.1f}"
-        print(f"{row.n:>6} {row.m:>3} {row.eta:>8} {k_text:>5} {rho_text:>8} "
-              f"{im_text:>10} {pre_text:>9} {cb_text:>9}")
+        print(f"{row.n:>6} {row.m:>3} {row.eta:>8} {k_text:>5} {_or_na(row.rho, '.3f'):>8} "
+              f"{_or_na(row.image_frac, '.4f'):>10} {_or_na(row.mean_preimage, '.4f'):>9} "
+              f"{_or_na(row.codebook, '.1f'):>9}")
     return 0
 
 
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kemp", help="anchor thresholds from a sweep CSV")
     p.add_argument("--in", dest="in_path", metavar="PATH", required=True, help="sweep CSV")
-    p.add_argument("--threshold", default="0.1", help="mean-error threshold")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="mean-error threshold")
     p.set_defaults(func=_cmd_kemp)
 
     p = sub.add_parser("diagnose-buckets", help="bucket-level collision diagnostics")

@@ -1,5 +1,5 @@
 """Trial execution, parameter sweeps, anchor strategies, empirical anchor
-thresholds, and deterministic CSV export.
+thresholds, and deterministic CSV export and read-back.
 
 Seeds derive from the master seed so that every row is reproducible in
 isolation: the graph of (n, r, trial) is shared by every configuration that
@@ -50,13 +50,14 @@ from .spectral import (
     quantize_absolute,
     quantize_relative,
 )
-from .theory import BoundReport, bound_report
+from .theory import BoundReport, BudgetInputs, bound_report, rho_eng
 
 __all__ = [
     "QUANTIZERS",
     "FEATURES",
     "STRATEGIES",
     "CSV_COLUMNS",
+    "DEFAULT_THRESHOLD",
     "ConfigPoint",
     "SweepConfig",
     "TrialRecord",
@@ -91,6 +92,9 @@ STRATEGIES = ("random", "degree", "farthest")
 
 _FAILURE_MARKER = "error"
 _NA = "n/a"
+
+# The mean error at or below which an anchor count counts as enough (k_emp).
+DEFAULT_THRESHOLD = 0.1
 
 # Fields that name a grid cell; records sharing them aggregate together.
 _GRID_FIELDS = (
@@ -156,9 +160,9 @@ def _check_degree(r: int) -> None:
         raise ValueError(f"regular degree must be at most {MAX_REGULAR_DEGREE}, got {r}")
 
 
-def _grid_key(source: object, **cell: object) -> tuple:
-    """The _GRID_FIELDS values, taken from cell where given, else from source."""
-    return tuple(cell[f] if f in cell else getattr(source, f) for f in _GRID_FIELDS)
+def _grid_key(source: object) -> tuple:
+    """The _GRID_FIELDS values of source."""
+    return tuple(getattr(source, f) for f in _GRID_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,6 @@ class SweepConfig:
     feature: str = "full"
     anchor_strategy: str = "random"
     seed: int = 0
-    error_threshold: float = 0.1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_list", _as_int_tuple(self.n_list, "n_list"))
@@ -261,8 +264,6 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if self.anchor_resamples < 1:
             raise ValueError("anchor_resamples must be at least 1")
-        if not (0.0 < self.error_threshold < 1.0):
-            raise ValueError("error_threshold must lie strictly between 0 and 1")
         # Fail the whole grid early on structurally impossible cells.
         _check_degree(self.r)
         for n in self.n_list:
@@ -688,28 +689,17 @@ def _aggregate(records: Sequence[TrialRecord]) -> dict[tuple, Aggregate]:
         groups[rec.grid_key()].append(rec)
     out: dict[tuple, Aggregate] = {}
     for key, group in groups.items():
-        means: dict[str, float] = {}
-        stds: dict[str, float] = {}
-        available: dict[str, int] = {}
+        ok = [rec for rec in group if rec.failure is None]
+        means, stds, available = {}, {}, {}
         for metric in _AGGREGATED_METRICS:
-            values = [
-                float(getattr(rec, metric))
-                for rec in group
-                if rec.failure is None and getattr(rec, metric) is not None
-            ]
+            values = [float(v) for v in (getattr(rec, metric) for rec in ok) if v is not None]
             available[metric] = len(values)
             if values:
                 mean = sequential_sum(values) / len(values)
                 var = sequential_sum((v - mean) ** 2 for v in values) / len(values)
                 means[metric] = mean
                 stds[metric] = math.sqrt(max(var, 0.0))
-        out[key] = Aggregate(
-            count=len(group),
-            failures=sum(1 for rec in group if rec.failure is not None),
-            means=means,
-            stds=stds,
-            available=available,
-        )
+        out[key] = Aggregate(len(group), len(group) - len(ok), means, stds, available)
     return out
 
 
@@ -760,12 +750,9 @@ def run_sweep(
 
 
 def _match_eta(cfg: SweepConfig, eta: str | float) -> str:
-    if isinstance(eta, str):
-        if eta in cfg.eta_list:
-            return eta
-        candidates = [e for e in cfg.eta_list if float(e) == float(eta)]
-    else:
-        candidates = [e for e in cfg.eta_list if float(e) == eta]
+    if eta in cfg.eta_list:
+        return eta  # type: ignore[return-value]
+    candidates = [e for e in cfg.eta_list if float(e) == float(eta)]
     if not candidates:
         raise ValueError(f"eta {eta!r} not in the sweep grid")
     return candidates[0]
@@ -782,29 +769,83 @@ def _threshold_k(mean_errors: Mapping[int, float | None], threshold: float) -> i
     return None
 
 
+@dataclass(frozen=True)
+class KempRow:
+    """Anchor threshold of one (n, m, eta) in one setting (r, quantizer,
+    scaled, feature, anchor_strategy). The metrics are means over the
+    successful rows at k_emp, all None when no tested k meets the threshold;
+    rho is the budget ratio at k_emp (None when n is too small for it)."""
+
+    n: int
+    m: int
+    eta: str
+    k_emp: int | None
+    rho: float | None
+    image_frac: float | None
+    mean_preimage: float | None
+    codebook: float | None
+    r: int | None
+    quantizer: str
+    scaled: bool
+    feature: str
+    anchor_strategy: str
+
+
+def _kemp_rows(aggregates: Mapping[tuple, Aggregate], threshold: float) -> list[KempRow]:
+    """The k_emp table of grid-cell aggregates, one row per grid key without
+    k: by setting, then by n, m and eta (by value, then spelling)."""
+    cells: dict[tuple, dict[int, Aggregate]] = defaultdict(dict)
+    for key, agg in aggregates.items():
+        fields = dict(zip(_GRID_FIELDS, key))
+        k = fields.pop("k")
+        cells[tuple(fields.items())][k] = agg
+    out = []
+    for cell, by_k in cells.items():
+        fields = dict(cell)
+        k_hit = _threshold_k({k: agg.means.get("error") for k, agg in by_k.items()}, threshold)
+        means, rho = {}, None
+        if k_hit is not None:
+            means = by_k[k_hit].means
+            try:  # BudgetInputs rejects n below 16
+                rho = rho_eng(BudgetInputs(
+                    n=fields["n"], k=k_hit, m=fields["m"], eta=float(fields["eta"])))
+            except ValueError:
+                pass
+        out.append(KempRow(
+            **fields, k_emp=k_hit, rho=rho, image_frac=means.get("image_frac"),
+            mean_preimage=means.get("mean_preimage"), codebook=means.get("codebook_size"),
+        ))
+    return sorted(out, key=lambda row: (
+        row.r is None, row.r or 0, row.quantizer, row.scaled, row.feature,
+        row.anchor_strategy, row.n, row.m, float(row.eta), row.eta,
+    ))
+
+
+def kemp_table(records: Sequence[TrialRecord], threshold: float) -> list[KempRow]:
+    """Anchor thresholds per grid cell without k, from trial records such as
+    read_csv_rows returns. Records aggregate by grid key as a SweepResult's
+    do: a k cell without successful records cannot qualify, and eta groups
+    by its exact string."""
+    return _kemp_rows(_aggregate(records), threshold)
+
+
 def k_emp(
     result: SweepResult, n: int, m: int, eta: str | float,
-    threshold: float | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> int | None:
-    """Smallest tested k whose mean error is at or below the threshold.
-
-    Scans the configured k grid in ascending order by the rule kemp_table
-    applies to CSV rows: a k cell without successful records cannot
-    qualify, and None means no tested k qualifies.
-    """
+    """Smallest tested k whose mean error is at or below the threshold: the
+    (n, m, eta) row of the sweep's kemp table; None when no tested k does."""
     cfg = result.config
-    if threshold is None:
-        threshold = cfg.error_threshold
     eta_key = _match_eta(cfg, eta)
     if n not in cfg.n_list:
         raise ValueError(f"n={n} not in the sweep grid")
     if m not in cfg.m_list:
         raise ValueError(f"m={m} not in the sweep grid")
-    means = {}
-    for k in cfg.k_list:
-        agg = result.aggregates.get(_grid_key(cfg, n=n, k=k, m=m, eta=eta_key))
-        means[k] = None if agg is None else agg.means.get("error")
-    return _threshold_k(means, threshold)
+    cell = {
+        key: agg for key, agg in result.aggregates.items()
+        if (key[0], key[3], key[4]) == (n, m, eta_key)  # n, m and eta of the grid key
+    }
+    return next((row.k_emp for row in _kemp_rows(cell, threshold)), None)
 
 
 def _format_cell(value: object) -> str:
@@ -850,116 +891,8 @@ def write_csv(result: SweepResult, path: str, include_timing: bool = False) -> N
     write_records_csv(result.records, path, include_timing=include_timing)
 
 
-def read_csv_rows(path: str) -> list[dict[str, str]]:
-    """Read a trial-record CSV back as raw string dicts.
-
-    Raises CsvFormatError when the header misses schema columns or the
-    file has no data rows.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CsvFormatError(f"{path}: empty file")
-        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise CsvFormatError(f"{path}: missing columns {missing}")
-        rows = list(reader)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    return rows
-
-
-@dataclass(frozen=True)
-class KempRow:
-    """Anchor threshold summary for one (n, m, eta) group.
-
-    The trailing metrics are means over the successful rows at k_emp; all
-    of them are None when no tested k meets the threshold. rho is the
-    budget ratio at k_emp (None when n is too small for it).
-    """
-
-    n: int
-    m: int
-    eta: str
-    k_emp: int | None
-    rho: float | None
-    image_frac: float | None
-    mean_preimage: float | None
-    codebook: float | None
-
-
-def _try_float(text: str | None) -> float | None:
-    if text is None:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def kemp_table(rows: Sequence[Mapping[str, str]], threshold: float) -> list[KempRow]:
-    """Anchor thresholds per (n, m, eta) group from raw CSV rows.
-
-    Rows whose metrics hold failure or n/a markers are skipped; a k cell
-    with no usable rows cannot qualify. eta groups by the exact string.
-    """
-    from .theory import BudgetInputs, rho_eng
-
-    cells: dict[tuple[int, int, str], dict[int, list[Mapping[str, str]]]] = {}
-    for row in rows:
-        try:
-            n = int(row["n"])
-            m = int(row["m"])
-            k = int(row["k"])
-            eta = row["eta"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CsvFormatError(f"bad identity columns in row {row!r}") from exc
-        cells.setdefault((n, m, eta), {}).setdefault(k, []).append(row)
-
-    out = []
-    for (n, m, eta) in sorted(cells, key=lambda g: (g[0], g[1], float(g[2]), g[2])):
-        by_k = cells[(n, m, eta)]
-        means = {}
-        for k, k_rows in by_k.items():
-            errors = [e for e in (_try_float(r["error"]) for r in k_rows) if e is not None]
-            means[k] = sequential_sum(errors) / len(errors) if errors else None
-        k_hit = _threshold_k(means, threshold)
-        if k_hit is None:
-            out.append(KempRow(n, m, eta, None, None, None, None, None))
-            continue
-        hit_rows = by_k[k_hit]
-
-        def cell_mean(col: str) -> float | None:
-            values = [v for v in (_try_float(r[col]) for r in hit_rows) if v is not None]
-            return sequential_sum(values) / len(values) if values else None
-
-        try:
-            rho = rho_eng(BudgetInputs(n=n, k=k_hit, m=m, eta=float(eta)))
-        except ValueError:
-            rho = None
-        out.append(
-            KempRow(
-                n=n, m=m, eta=eta, k_emp=k_hit, rho=rho,
-                image_frac=cell_mean("image_frac"),
-                mean_preimage=cell_mean("mean_preimage"),
-                codebook=cell_mean("codebook_size"),
-            )
-        )
-    return out
-
-
-# Config keys onto the SweepConfig fields they set: every field's own name,
-# and the short names that the sweep command's flags also use.
-_SWEEP_KEYS = {
-    **{f.name: f.name for f in dataclasses.fields(SweepConfig)},
-    "n": "n_list", "k": "k_list", "m": "m_list", "eta": "eta_list",
-    "resamples": "anchor_resamples", "strategy": "anchor_strategy",
-    "threshold": "error_threshold",
-}
-
-
 def _parse_bool(text: str) -> bool:
-    """The one grammar of a boolean setting, in a config file or a flag."""
+    """The one grammar of a boolean: in a config file, a flag or a CSV cell."""
     token = text.strip().lower()
     if token in ("true", "1", "yes"):
         return True
@@ -968,13 +901,72 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+# How a CSV cell becomes a TrialRecord field, keyed by the field's
+# annotation as written less "| None"; a "| None" field also reads n/a.
+_CELL_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+# (column, parser, reads n/a) in CSV_COLUMNS order, which is the order of
+# TrialRecord's leading fields, so parsed values fill a record by position.
+_COLUMN_PARSERS = tuple(
+    (f.name, _CELL_PARSERS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+    for f in dataclasses.fields(TrialRecord)
+    if f.name in CSV_COLUMNS
+)
+
+
+def read_csv_rows(path: str) -> list[TrialRecord]:
+    """Read a trial-record CSV back as TrialRecords: n/a cells read as None,
+    and a row whose metric columns all hold the failure marker reads as a
+    failed record, failure holding the marker. Raises CsvFormatError when
+    the header misses schema columns, the file has no data rows, or a cell
+    does not parse, naming the cell's 1-based line and its column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: empty file")
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise CsvFormatError(f"{path}: missing columns {missing}")
+        columns = [(header.index(name), parse, na) for name, parse, na in _COLUMN_PARSERS]
+        identity = columns[: len(CSV_COLUMNS) - len(_METRIC_COLUMNS)]
+        metric_at = [header.index(c) for c in _METRIC_COLUMNS]
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise CsvFormatError(f"{where}: {len(row)} cells, header has {len(header)}")
+            failed = all(row[i] == _FAILURE_MARKER for i in metric_at)
+            values: list[object] = []
+            try:
+                for i, parse, na in identity if failed else columns:
+                    values.append(None if na and row[i] == _NA else parse(row[i]))
+            except ValueError:
+                name = CSV_COLUMNS[len(values)]  # the column that did not parse
+                raise CsvFormatError(
+                    f"{where}: column {name}: cannot read {row[header.index(name)]!r}") from None
+            records.append(TrialRecord(*values, failure=_FAILURE_MARKER if failed else None))
+    if not records:
+        raise CsvFormatError(f"{path}: no data rows")
+    return records
+
+
+# Config keys onto the SweepConfig fields they set: every field's own name,
+# and the short names that the sweep command's flags also use.
+_SWEEP_KEYS = {
+    **{f.name: f.name for f in dataclasses.fields(SweepConfig)},
+    "n": "n_list", "k": "k_list", "m": "m_list", "eta": "eta_list",
+    "resamples": "anchor_resamples", "strategy": "anchor_strategy",
+}
+
+
 # How a config value becomes a field, keyed by the field's SweepConfig
 # annotation as written, and what a value that does not parse needs to be.
 _PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
     "Sequence[int]": (lambda v: tuple(int(t) for t in _tokens(v)), "integers"),
     "Sequence[str]": (lambda v: tuple(_tokens(v)), "a list"),
     "int": (lambda v: int(v.strip('"')), "an integer"),
-    "float": (lambda v: float(v.strip('"')), "a number"),
     "str": (lambda v: v.strip('"'), "text"),
     "bool": (lambda v: _parse_bool(v.strip('"')), "true or false"),
 }

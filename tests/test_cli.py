@@ -393,18 +393,18 @@ class TestSweep:
 
     # flag, config line it overrides, flag value, CSV column, expected column values
     OVERRIDES = [
-        ("--n", "n = [30]", "40", "n", {"40"}),
-        ("--k", "k = [1]", "2", "k", {"2"}),
-        ("--m", "m = [0]", "1", "m", {"1"}),
+        ("--n", "n = [30]", "40", "n", {40}),
+        ("--k", "k = [1]", "2", "k", {2}),
+        ("--m", "m = [0]", "1", "m", {1}),
         ("--eta", "eta = [0.5]", "0.25", "eta", {"0.25"}),
-        ("--trials", "trials = 1", "2", "trial", {"0", "1"}),
-        ("--resamples", "resamples = 3", "2", "resample", {"0", "1"}),
-        ("--r", "r = 4", "5", "r", {"5"}),
+        ("--trials", "trials = 1", "2", "trial", {0, 1}),
+        ("--resamples", "resamples = 3", "2", "resample", {0, 1}),
+        ("--r", "r = 4", "5", "r", {5}),
         ("--quantizer", "quantizer = absolute", "relative", "quantizer", {"relative"}),
-        ("--scaled", "scaled = true", "false", "scaled", {"false"}),
+        ("--scaled", "scaled = true", "false", "scaled", {False}),
         ("--feature", "feature = spectral", "distance", "feature", {"distance"}),
         ("--strategy", "strategy = degree", "farthest", "anchor_strategy", {"farthest"}),
-        ("--seed", "seed = 3", "5", "seed", {str(graph_seed_for(5, 30, 3, 0))}),
+        ("--seed", "seed = 3", "5", "seed", {graph_seed_for(5, 30, 3, 0)}),
     ]
 
     @pytest.mark.parametrize(
@@ -421,7 +421,7 @@ class TestSweep:
             capsys, "sweep", "--config", str(cfg), flag, value,
             "--jobs", "1", "--out", str(out))
         assert code == 0
-        assert {row[column] for row in read_csv_rows(str(out))} == expected
+        assert {getattr(row, column) for row in read_csv_rows(str(out))} == expected
 
     def test_row_count_ignores_duplicate_grid_values(self, capsys, tmp_path):
         out = tmp_path / "dup.csv"
@@ -469,7 +469,7 @@ class TestSweep:
             "--jobs", "1", "--out", str(b))
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
-        assert {row["scaled"] for row in read_csv_rows(str(a))} == {column}
+        assert {row.scaled for row in read_csv_rows(str(a))} == {column == "true"}
 
     def test_bad_scaled_config_value_names_line(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -555,6 +555,39 @@ class TestKemp:
         code, _, _ = run_cli(
             capsys, "kemp", "--in", str(tmp_path / "nope.csv"))
         assert code == 1
+
+    def test_corrupt_cell_exits_1_naming_line_and_column(self, capsys, eta_grid_csv, tmp_path):
+        lines = open(eta_grid_csv, encoding="utf-8").read().splitlines()
+        cells = lines[4].split(",")
+        cells[CSV_COLUMNS.index("error")] = "0.0x3"
+        lines[4] = ",".join(cells)
+        path = tmp_path / "corrupt.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "kemp", "--in", str(path))
+        assert code == 1
+        assert "line 5: column error: cannot read '0.0x3'" in err
+
+    def test_joined_csv_names_each_setting(self, capsys, tmp_path):
+        paths = []
+        for quantizer in ("absolute", "relative"):
+            paths.append(tmp_path / f"{quantizer}.csv")
+            assert main([
+                "sweep", "--n", "40", "--k", "1", "--k", "6", "--m", "2", "--eta", "0.5",
+                "--trials", "2", "--quantizer", quantizer, "--jobs", "1",
+                "--out", str(paths[-1])]) == 0
+        joined = tmp_path / "joined.csv"
+        joined.write_text(
+            paths[0].read_text() + paths[1].read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "kemp", "--in", str(joined))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert lines[1] == "# r=3 quantizer=absolute scaled=true feature=full strategy=random"
+        assert lines[3] == "# r=3 quantizer=relative scaled=true feature=full strategy=random"
+        code, out, _ = run_cli(capsys, "kemp", "--in", str(paths[0]))
+        assert code == 0
+        assert len(out.splitlines()) == 2 and "#" not in out
 
 
 class TestSpectralThresholdRows:

@@ -12,6 +12,8 @@ import obsmap.harness as harness
 from obsmap.graphs import random_regular
 from obsmap.harness import (
     CSV_COLUMNS,
+    DEFAULT_THRESHOLD,
+    QUANTIZERS,
     ConfigPoint,
     CsvFormatError,
     SweepConfig,
@@ -45,6 +47,16 @@ def point(**overrides) -> ConfigPoint:
 
 def strip_timing(rec):
     return dataclasses.replace(rec, wall_time_ms=None)
+
+
+def csv_fields(rec) -> tuple:
+    """The fields of a record that its CSV row carries."""
+    return tuple(getattr(rec, column) for column in CSV_COLUMNS)
+
+
+def row_setting(row) -> tuple:
+    """The grid fields of a k_emp row besides n, m and eta."""
+    return (row.r, row.quantizer, row.scaled, row.feature, row.anchor_strategy)
 
 
 class TestSeedDerivation:
@@ -215,13 +227,6 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("-1",))
 
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            SweepConfig(
-                n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("0.1",),
-                error_threshold=0.0,
-            )
-
     def test_points_order(self):
         cfg = SweepConfig(
             n_list=(10, 8), k_list=(2, 1), m_list=(0,),
@@ -298,12 +303,13 @@ class TestRunSweep:
         assert len(good) == len(res.records) - 4
         path = tmp_path / "out.csv"
         write_csv(res, str(path))
-        rows = read_csv_rows(str(path))
-        marked = [row for row in rows if row["error"] == "error"]
+        lines = path.read_text().splitlines()[1:]
+        marked = [line for line in lines if line.endswith(",error" * 14)]
         assert len(marked) == 4
-        assert all(row["weighted_collision"] == "error" for row in marked)
-        # identity columns survive on failure rows
-        assert all(row["n"] == "40" and row["trial"] == "1" for row in marked)
+        rows = read_csv_rows(str(path))
+        # identity columns survive on failure rows, which read back as failed
+        assert [csv_fields(r) for r in rows] == [csv_fields(strip_timing(r)) for r in res.records]
+        assert [r.failure is not None for r in rows] == [r.failure is not None for r in res.records]
         metrics = [
             f.name for f in dataclasses.fields(TrialRecord)
             if f.name in CSV_COLUMNS[CSV_COLUMNS.index("error"):]
@@ -527,9 +533,11 @@ class TestEdgeListTrials:
         recs = analyze_records(g, r=None, k=2, m=1, eta="0.5", seed=0)
         assert recs[0].r is None
         path = tmp_path / "rows.csv"
-        write_records_csv(recs, str(path))
+        write_records_csv(recs, str(path), include_timing=True)
+        assert path.read_text().splitlines()[1].split(",")[1] == "n/a"
         rows = read_csv_rows(str(path))
-        assert rows[0]["r"] == "n/a"
+        assert rows[0].r is None
+        assert [csv_fields(r) for r in rows] == [csv_fields(r) for r in recs]
 
 
 class TestKemp:
@@ -580,26 +588,54 @@ class TestKemp:
 
         monkeypatch.setattr(harness, "select_anchors", failing_k1)
         cfg = SweepConfig(
-            n_list=(40,), k_list=(1, 6), m_list=(0,), eta_list=("0.5",), trials=4, seed=0,
+            n_list=(40,), k_list=(1, 6), m_list=(0, 1), eta_list=("0.5", "0.25"),
+            trials=4, seed=0,
         )
         res = run_sweep(cfg)
         assert all(r.failure is not None for r in res.records if r.k == 1)
         path = tmp_path / "rows.csv"
         write_csv(res, str(path))
         assert k_emp(res, 40, 0, "0.5") == 6
-        assert kemp_table(read_csv_rows(str(path)), cfg.error_threshold)[0].k_emp == 6
+        table = kemp_table(read_csv_rows(str(path)), DEFAULT_THRESHOLD)
+        assert [(row.n, row.m, row.eta) for row in table] == [
+            (40, 0, "0.25"), (40, 0, "0.5"), (40, 1, "0.25"), (40, 1, "0.5"),
+        ]
+        for row in table:
+            assert row.k_emp == k_emp(res, row.n, row.m, row.eta)
+            key = (row.n, row.r, row.k_emp, row.m, row.eta, *row_setting(row)[1:])
+            means = res.aggregates[key].means
+            assert (row.image_frac, row.mean_preimage, row.codebook) == (
+                means["image_frac"], means["mean_preimage"], means["codebook_size"])
+
+    def test_joined_sweeps_stay_apart(self, tmp_path):
+        # Two sweeps that differ only in the quantizer, joined in one CSV.
+        results = [
+            run_sweep(SweepConfig(
+                n_list=(40,), k_list=(1, 2, 3, 6), m_list=(2,), eta_list=("0.5",),
+                trials=4, quantizer=quantizer, seed=0,
+            ))
+            for quantizer in QUANTIZERS
+        ]
+        path = tmp_path / "joined.csv"
+        write_records_csv([rec for res in results for rec in res.records], str(path))
+        table = kemp_table(read_csv_rows(str(path)), DEFAULT_THRESHOLD)
+        assert [row.quantizer for row in table] == list(QUANTIZERS)
+        got = [row.k_emp for row in table]
+        assert got == [k_emp(res, 40, 2, "0.5") for res in results]
+        assert got == [2, 3]
 
 
 class TestKempTable:
-    def row(self, n, m, eta, k, error, **extra):
-        base = {c: "0" for c in CSV_COLUMNS}
-        base.update(
-            n=str(n), m=str(m), eta=eta, k=str(k), error=str(error),
-            image_frac=str(1.0 - float(error)) if error not in ("error", "n/a") else error,
-            mean_preimage="1.5", codebook_size="10",
+    def row(self, n, m, eta, k, error):
+        identity = dict(
+            n=n, r=3, k=k, m=m, eta=eta, quantizer="absolute", scaled=True,
+            feature="full", anchor_strategy="random", trial=0, resample=0, seed=0,
         )
-        base.update({k2: str(v) for k2, v in extra.items()})
-        return base
+        if error is None:
+            return TrialRecord(**identity, failure="synthetic")
+        return TrialRecord(
+            **identity, error=error, image_frac=1.0 - error, mean_preimage=1.5, codebook_size=10,
+        )
 
     def test_threshold_pick_and_rho(self):
         rows = [
@@ -613,6 +649,7 @@ class TestKempTable:
         assert entry.k_emp == 4
         assert entry.image_frac == pytest.approx(0.96)
         assert entry.codebook == 10.0
+        assert row_setting(entry) == (3, "absolute", True, "full", "random")
         from obsmap.theory import BudgetInputs, rho_eng
 
         assert entry.rho == pytest.approx(
@@ -628,7 +665,7 @@ class TestKempTable:
 
     def test_failure_rows_are_skipped(self):
         rows = [
-            self.row(500, 0, "0.1", 2, "error"),
+            self.row(500, 0, "0.1", 2, None),
             self.row(500, 0, "0.1", 4, 0.02),
         ]
         entry = kemp_table(rows, threshold=0.1)[0]
@@ -649,12 +686,6 @@ class TestKempTable:
         entry = kemp_table(rows, threshold=0.1)[0]
         assert entry.k_emp == 1
         assert entry.rho is None
-
-    def test_bad_identity_rejected(self):
-        rows = [self.row(500, 0, "0.1", 2, 0.5)]
-        rows[0]["n"] = "many"
-        with pytest.raises(CsvFormatError):
-            kemp_table(rows, threshold=0.1)
 
 
 class TestCsv:
@@ -695,11 +726,35 @@ class TestCsv:
 
     def test_read_back_round_trip(self, tmp_path):
         recs = [run_trial(point(trial=t), 0) for t in range(2)]
-        path = tmp_path / "two.csv"
-        write_records_csv(recs, str(path))
+        recs.append(run_trial(point(k=8), 0))  # every bucket a singleton
+        g = random_regular(40, 3, 8)
+        recs.extend(analyze_records(g, r=None, k=2, m=1, eta="0.5", seed=0))
+        assert recs[2].refined_bound is None and recs[3].r is None
+        path = tmp_path / "rows.csv"
+        write_records_csv(recs, str(path), include_timing=True)
         rows = read_csv_rows(str(path))
-        assert len(rows) == 2
-        assert [r["trial"] for r in rows] == ["0", "1"]
+        assert len(rows) == 4
+        assert [r.trial for r in rows[:2]] == [0, 1]
+        assert [csv_fields(r) for r in rows] == [csv_fields(r) for r in recs]
+
+    @pytest.mark.parametrize("column, cell", [("n", "many"), ("error", "0.0x3")])
+    def test_corrupt_cell_names_line_and_column(self, tmp_path, column, cell):
+        path = tmp_path / "bad.csv"
+        write_records_csv([run_trial(point(trial=t), 0) for t in range(2)], str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=f"line 3: column {column}: cannot read '{cell}'"):
+            read_csv_rows(str(path))
+
+    def test_read_rejects_short_row(self, tmp_path):
+        path = tmp_path / "short_row.csv"
+        write_records_csv([run_trial(point(), 0)], str(path))
+        path.write_text(path.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
+        with pytest.raises(CsvFormatError, match="line 2: 25 cells, header has 26"):
+            read_csv_rows(str(path))
 
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "none.csv"
@@ -737,7 +792,6 @@ class TestParseSweepConfig:
             feature = distance
             strategy = farthest
             seed = 11
-            threshold = 0.2
             """
         )
         assert cfg.n_list == (500, 1000)
@@ -751,7 +805,10 @@ class TestParseSweepConfig:
         assert cfg.feature == "distance"
         assert cfg.anchor_strategy == "farthest"
         assert cfg.seed == 11
-        assert cfg.error_threshold == 0.2
+        assert len(dataclasses.fields(cfg)) == 12
+        # The k_emp threshold is read at kemp time, not set by the sweep.
+        with pytest.raises(ValueError, match="line 5: unknown key 'threshold'"):
+            parse_sweep_config("n=16\nk=1\nm=0\neta=0.1\nthreshold = 0.2\n")
 
     def test_defaults(self):
         cfg = parse_sweep_config("n=16\nk=1\nm=0\neta=0.1\n")
