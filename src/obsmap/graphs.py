@@ -226,8 +226,9 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
             continue
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
-        keys = lo * n + hi
-        if np.unique(keys).size != keys.size:
+        # A repeated pair is a parallel edge; sorted, its keys are adjacent.
+        keys = np.sort(lo * n + hi)
+        if np.any(keys[1:] == keys[:-1]):
             continue
         g = _graph(n, lo, hi)
         if connected_components(g.to_sparse(), directed=False)[0] == 1:
@@ -340,23 +341,28 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
             leaves a vertex unreachable, and its smallest unreachable vertex.
     """
     csr = g.to_sparse()
-    dist = np.empty((len(sources), g.n), dtype=np.int64)
-    position = np.empty(g.n, dtype=np.int64)
+    n = g.n
+    dist = np.empty((len(sources), n), dtype=np.int64)
+    # The search returns int32 arrays, which numpy converts to intp each
+    # time it indexes with them; the level pass converts the order once.
+    position = np.empty(n, dtype=np.intp)
+    ticks = np.arange(n)
     for row, source in enumerate(sources):
         order, parent = breadth_first_order(
             csr, source, directed=True, return_predecessors=True
         )
-        if order.size < g.n:
-            reached = np.zeros(g.n, dtype=bool)
+        if order.size < n:
+            reached = np.zeros(n, dtype=bool)
             reached[order] = True
             missing = int(np.flatnonzero(~reached)[0])
             raise ConnectivityError(f"vertex {missing} unreachable from source {source}")
-        position[order] = np.arange(g.n)
-        parent_position = position[parent[order[1:]]]
+        order = order.astype(np.intp)
+        position[order] = ticks
+        parent_position = position.take(parent.take(order[1:]))
         ends = [1]  # level d occupies order[ends[d-1]:ends[d]], level 0 the source
-        while ends[-1] < g.n:
-            ends.append(1 + int(np.searchsorted(parent_position, ends[-1])))
-        dist[row, order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        while ends[-1] < n:
+            ends.append(1 + int(parent_position.searchsorted(ends[-1])))
+        dist[row, order] = np.repeat(ticks[: len(ends)], np.diff(ends, prepend=0))
     return dist
 
 

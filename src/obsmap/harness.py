@@ -131,25 +131,48 @@ def anchor_seed_for(graph_seed: int, k: int, strategy: str, resample: int) -> in
     return mix64("anchors", graph_seed, k, strategy, resample)
 
 
+def _eta(text: str) -> str:
+    """text, once it reads as a positive, finite decimal number."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValueError(f"eta {text!r} is not a decimal number") from exc
+    if not value > 0:
+        raise ValueError(f"eta must be positive, got {text!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"eta must be finite, got {text!r}")
+    return text
+
+
+def _choice(name: str, choices: tuple[str, ...]) -> Callable[[str], str]:
+    """A check that returns its value when it is one of choices."""
+    def check(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"unknown {name} {value!r}")
+        return value
+    return check
+
+
+# The rule each option field's value meets wherever it comes from: a
+# ConfigPoint, a SweepConfig, analyze_records or a CSV cell. Each check
+# returns the value it accepts and raises ValueError otherwise.
+_OPTION_CHECKS: dict[str, Callable[[str], str]] = {
+    "eta": _eta,
+    "quantizer": _choice("quantizer", QUANTIZERS),
+    "feature": _choice("feature", FEATURES),
+    "anchor_strategy": _choice("anchor strategy", STRATEGIES),
+}
+
+
 def _check_options(
     etas: Iterable[str], quantizer: str, feature: str, anchor_strategy: str
 ) -> None:
     """Checks shared by ConfigPoint, SweepConfig and analyze_records."""
     for eta in etas:
-        try:
-            value = float(eta)
-        except ValueError as exc:
-            raise ValueError(f"eta {eta!r} is not a decimal number") from exc
-        if not value > 0:
-            raise ValueError(f"eta must be positive, got {eta!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"eta must be finite, got {eta!r}")
-    if quantizer not in QUANTIZERS:
-        raise ValueError(f"unknown quantizer {quantizer!r}")
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
-    if anchor_strategy not in STRATEGIES:
-        raise ValueError(f"unknown anchor strategy {anchor_strategy!r}")
+        _OPTION_CHECKS["eta"](eta)
+    _OPTION_CHECKS["quantizer"](quantizer)
+    _OPTION_CHECKS["feature"](feature)
+    _OPTION_CHECKS["anchor_strategy"](anchor_strategy)
 
 
 def _check_degree(r: int) -> None:
@@ -902,12 +925,17 @@ def _parse_bool(text: str) -> bool:
 
 
 # How a CSV cell becomes a TrialRecord field, keyed by the field's
-# annotation as written less "| None"; a "| None" field also reads n/a.
+# annotation as written less "| None"; a "| None" field also reads n/a. An
+# option field's cell must also pass that option's check.
 _CELL_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 # (column, parser, reads n/a) in CSV_COLUMNS order, which is the order of
 # TrialRecord's leading fields, so parsed values fill a record by position.
 _COLUMN_PARSERS = tuple(
-    (f.name, _CELL_PARSERS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+    (
+        f.name,
+        _OPTION_CHECKS.get(f.name) or _CELL_PARSERS[f.type.removesuffix(" | None")],
+        f.type.endswith(" | None"),
+    )
     for f in dataclasses.fields(TrialRecord)
     if f.name in CSV_COLUMNS
 )

@@ -86,6 +86,27 @@ class Groups:
         return out
 
 
+def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ascending order of a non-empty int64 array, and the mask of the
+    positions in that order where a run of equal values starts."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.empty(values.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return order, starts
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each value among the distinct values of a non-empty int64
+    array, and the number of distinct values."""
+    order, starts = _sorted_runs(values)
+    runs = np.cumsum(starts)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[order] = runs - 1
+    return rank, int(runs[-1])
+
+
 def _group_rows(matrix: np.ndarray) -> Groups:
     """Group the equal rows of an (n, w) integer matrix.
 
@@ -94,33 +115,43 @@ def _group_rows(matrix: np.ndarray) -> Groups:
     Before the key could reach _KEY_LIMIT it is replaced by its rank among
     the distinct keys so far, and if that is still too wide the column is
     replaced by its rank too; ranks never exceed n, so any n below 2**31
-    fits. One sort of the key then yields the groups. w = 0 puts every row
-    in one group.
+    fits. w = 0 puts every row in one group.
+
+    Equal rows have equal keys, so one sort of the key lays each group out
+    as one run. The sort need not be stable: ties are rows of one group, so
+    their order inside the run can change neither the run nor its smallest
+    row, and groups are numbered by that smallest row, not by where the
+    sort put them.
     """
     matrix = np.asarray(matrix, dtype=np.int64)
     n, w = matrix.shape
+    if n == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return Groups(ids=empty, first=empty, sizes=empty)
     key = np.zeros(n, dtype=np.int64)
     bound = 1  # key values lie in [0, bound)
-    for j in range(w if n else 0):
+    for j in range(w):
         col = matrix[:, j]
         lo = int(col.min())
         span = int(col.max()) - lo + 1
         if bound * span >= _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = distinct.size
+            key, bound = _dense_rank(key)
         if bound * span >= _KEY_LIMIT:
-            distinct, col = np.unique(col, return_inverse=True)
-            lo, span = 0, distinct.size
+            col, span = _dense_rank(col)
+            lo = 0
         key = key * span + (col - lo)
         bound *= span
-    _, first, inverse, sizes = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    # np.unique numbers groups by key value; renumber by first appearance.
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return Groups(ids=rank[inverse], first=first[order], sizes=sizes[order])
+    order, starts = _sorted_runs(key)
+    run_starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(order, run_starts)
+    sizes = np.diff(run_starts, append=n)
+    # Runs lie in key order; renumber them by first appearance.
+    by_appearance = np.argsort(first)
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(by_appearance.size)
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = np.repeat(rank, sizes)
+    return Groups(ids=ids, first=first[by_appearance], sizes=sizes[by_appearance])
 
 
 @dataclass(frozen=True, eq=False)

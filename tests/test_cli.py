@@ -567,6 +567,24 @@ class TestKemp:
         assert code == 1
         assert "line 5: column error: cannot read '0.0x3'" in err
 
+    @pytest.mark.parametrize("column, cell", [("eta", "abc"), ("quantizer", "absolut")])
+    def test_bad_option_cell_exits_1_naming_line_and_column(
+        self, capsys, eta_grid_csv, tmp_path, column, cell
+    ):
+        # Read as text, either cell would pass the parser: a bad eta used to
+        # fail later, in the sort of the table, and a misspelled quantizer to
+        # print a setting of its own.
+        lines = open(eta_grid_csv, encoding="utf-8").read().splitlines()
+        cells = lines[4].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[4] = ",".join(cells)
+        path = tmp_path / "corrupt.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "kemp", "--in", str(path))
+        assert code == 1
+        assert f"line 5: column {column}: cannot read '{cell}'" in err
+        assert out == ""
+
     def test_joined_csv_names_each_setting(self, capsys, tmp_path):
         paths = []
         for quantizer in ("absolute", "relative"):

@@ -581,7 +581,10 @@ class TestConstructionMatchesTupleReference:
             assert_matches_reference(random_regular(n, r, seed), ref)
 
     def test_random_regular_large(self):
-        assert_matches_reference(random_regular(500, 3, 11), reference_regular(500, 3, 11))
+        # Each seed rejects at least one draw for a repeated pair (1 to 7 of
+        # them) before the kept one, so the duplicate check decides the graph.
+        for n, r, seed in [(500, 3, 11), (2000, 3, 1), (2000, 3, 3), (6000, 3, 0), (6000, 3, 1)]:
+            assert_matches_reference(random_regular(n, r, seed), reference_regular(n, r, seed))
 
     def test_random_regular_exhausted_attempts(self, monkeypatch):
         monkeypatch.setattr(graphs, "_MAX_PAIRING_ATTEMPTS", 50)

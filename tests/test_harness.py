@@ -737,7 +737,10 @@ class TestCsv:
         assert [r.trial for r in rows[:2]] == [0, 1]
         assert [csv_fields(r) for r in rows] == [csv_fields(r) for r in recs]
 
-    @pytest.mark.parametrize("column, cell", [("n", "many"), ("error", "0.0x3")])
+    @pytest.mark.parametrize("column, cell", [
+        ("n", "many"), ("error", "0.0x3"), ("eta", "abc"), ("eta", "-0.5"),
+        ("quantizer", "absolut"), ("feature", "fulll"), ("anchor_strategy", "best"),
+    ])
     def test_corrupt_cell_names_line_and_column(self, tmp_path, column, cell):
         path = tmp_path / "bad.csv"
         write_records_csv([run_trial(point(trial=t), 0) for t in range(2)], str(path))

@@ -600,6 +600,38 @@ class TestGroupingKernel:
             tuple(v for v in range(len(ids)) if ids[v] == i) for i in range(len(sizes))
         ]
 
+    # Thousands of rows in few groups: long runs of tied keys, whose order an
+    # unstable sort is free to change.
+    @pytest.mark.parametrize("rows", [
+        # 5000 rows over 7 distinct rows.
+        np.random.default_rng(1).integers(-3, 4, size=(7, 3))[
+            np.random.default_rng(2).integers(0, 7, size=5000)],
+        # Key re-rank: 64 distinct rows whose packed key outgrows _KEY_LIMIT.
+        (2**20 * np.random.default_rng(3).integers(0, 2, size=(64, 6)))[
+            np.random.default_rng(4).integers(0, 64, size=3000)],
+        # Column re-rank: the first column spans all of int64.
+        np.column_stack([
+            np.random.default_rng(5).choice([INT64.min, -1, 0, INT64.max], size=3000),
+            np.random.default_rng(6).integers(0, 3, size=3000),
+        ]),
+    ], ids=["7keys_n5000", "key_rerank_n3000", "column_rerank_n3000"])
+    def test_many_ties_match_dict_walk(self, rows):
+        groups = _group_rows(rows)
+        ids, first, sizes = ref_groups([tuple(r) for r in rows.tolist()])
+        assert groups.ids.tolist() == ids
+        assert groups.first.tolist() == first
+        assert groups.sizes.tolist() == sizes
+
+    def test_bfs_profile_matches_dict_walk(self):
+        g = random_regular(6000, 3, 0)
+        anchors = select_anchors(g, 8, "random", anchor_seed_for(0, 8, "random", 0))
+        profile = anchor_profile(g, anchors)
+        groups = _group_rows(profile)
+        ids, first, sizes = ref_groups([tuple(r) for r in profile.tolist()])
+        assert groups.ids.tolist() == ids
+        assert groups.first.tolist() == first
+        assert groups.sizes.tolist() == sizes
+
     @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 6), st.sampled_from(CODE_RANGES))
     @settings(max_examples=100, deadline=None)
     def test_random_matrices(self, seed, n, w, code_range):
