@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -240,10 +241,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     result = run_sweep(cfg, jobs=args.jobs, progress=progress)
     write_csv(result, args.out, include_timing=args.timings)
-    failures = sum(1 for rec in result.records if rec.failure is not None)
+    failures = Counter(rec.failure for rec in result.records if rec.failure is not None)
     print(f"wrote {len(result.records)} rows to {args.out}", file=sys.stderr)
     if failures:
-        print(f"warning: {failures} failed trials recorded", file=sys.stderr)
+        print(f"warning: {failures.total()} failed trials recorded", file=sys.stderr)
+        for reason, count in failures.most_common():
+            print(f"  {count} x {reason}", file=sys.stderr)
     return 0
 
 

@@ -39,7 +39,6 @@ from .observation import (
     sequential_sum,
 )
 from .spectral import (
-    EnergyEmbedding,
     QuantizedCodes,
     SpectralBasis,
     codebook_size,
@@ -417,9 +416,7 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
     if k == 0:
         return AnchorSet(())
     if strategy == "degree":
-        degs = g.degrees()
-        order = sorted(range(g.n), key=lambda v: (-int(degs[v]), v))
-        return AnchorSet(tuple(order[:k]))
+        return AnchorSet(tuple(np.argsort(-g.degrees(), kind="stable")[:k].tolist()))
     if strategy == "random":
         picks = np.random.default_rng(seed).choice(g.n, size=k, replace=False)
         return AnchorSet(tuple(int(v) for v in picks))
@@ -871,49 +868,6 @@ def k_emp(
     return next((row.k_emp for row in _kemp_rows(cell, threshold)), None)
 
 
-def _format_cell(value: object) -> str:
-    if value is None:
-        return _NA
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def write_records_csv(
-    records: Sequence[TrialRecord], path: str, include_timing: bool = False
-) -> None:
-    """Write trial records as CSV in the fixed column order.
-
-    Floats carry 17 significant digits; inapplicable diagnostics are the
-    literal "n/a"; a failed trial fills its metric columns with the failure
-    marker. wall_time_ms is "n/a" unless include_timing is set, which keeps
-    re-runs of the same config byte-identical.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            row = []
-            for col in CSV_COLUMNS:
-                if rec.failure is not None and col in _METRIC_COLUMNS:
-                    row.append(_FAILURE_MARKER)
-                    continue
-                if col == "wall_time_ms" and not include_timing:
-                    row.append(_NA)
-                    continue
-                row.append(_format_cell(getattr(rec, col)))
-            writer.writerow(row)
-
-
-def write_csv(result: SweepResult, path: str, include_timing: bool = False) -> None:
-    """Write a sweep result as CSV; see write_records_csv for the format."""
-    write_records_csv(result.records, path, include_timing=include_timing)
-
-
 def _parse_bool(text: str) -> bool:
     """The one grammar of a boolean: in a config file, a flag or a CSV cell."""
     token = text.strip().lower()
@@ -924,21 +878,62 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-# How a CSV cell becomes a TrialRecord field, keyed by the field's
-# annotation as written less "| None"; a "| None" field also reads n/a. An
-# option field's cell must also pass that option's check.
-_CELL_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-# (column, parser, reads n/a) in CSV_COLUMNS order, which is the order of
-# TrialRecord's leading fields, so parsed values fill a record by position.
-_COLUMN_PARSERS = tuple(
-    (
-        f.name,
-        _OPTION_CHECKS.get(f.name) or _CELL_PARSERS[f.type.removesuffix(" | None")],
-        f.type.endswith(" | None"),
-    )
-    for f in dataclasses.fields(TrialRecord)
-    if f.name in CSV_COLUMNS
+# How each TrialRecord field kind, its annotation less "| None", is written
+# to a CSV cell and read back: ints in decimal, floats with 17 significant
+# digits, booleans as true/false. None (an inapplicable diagnostic) is
+# written n/a, and only a "| None" field reads n/a back.
+_KIND_CODECS: dict[str, tuple[Callable[[object], str], Callable[[str], object]]] = {
+    "int": (lambda v: str(int(v)), int),
+    "float": (lambda v: format(v, ".17g"), float),
+    "bool": (lambda v: "true" if v else "false", _parse_bool),
+    "str": (str, str),
+}
+
+
+def _column_codec(field: dataclasses.Field) -> tuple:
+    """(column, encode, decode, reads n/a) of one CSV column; an option
+    column decodes through its option check."""
+    kind = field.type.removesuffix(" | None")
+    encode, decode = _KIND_CODECS[kind]
+    return field.name, encode, _OPTION_CHECKS.get(field.name, decode), kind != field.type
+
+
+# One codec per CSV column, in CSV_COLUMNS order, which is the order of
+# TrialRecord's leading fields, so decoded cells fill a record by position.
+_CSV_CODECS = tuple(
+    _column_codec(f) for f in dataclasses.fields(TrialRecord) if f.name in CSV_COLUMNS
 )
+
+
+def write_records_csv(
+    records: Sequence[TrialRecord], path: str, include_timing: bool = False
+) -> None:
+    """Write trial records as CSV in the fixed column order, each cell by
+    its field kind's codec (_KIND_CODECS), which read_csv_rows reads back.
+
+    A failed trial fills its metric columns with the failure marker.
+    wall_time_ms is "n/a" unless include_timing is set, which keeps re-runs
+    of the same config byte-identical.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            row = []
+            for col, encode, _, _ in _CSV_CODECS:
+                value = getattr(rec, col)
+                if rec.failure is not None and col in _METRIC_COLUMNS:
+                    row.append(_FAILURE_MARKER)
+                elif value is None or (col == "wall_time_ms" and not include_timing):
+                    row.append(_NA)
+                else:
+                    row.append(encode(value))
+            writer.writerow(row)
+
+
+def write_csv(result: SweepResult, path: str, include_timing: bool = False) -> None:
+    """Write a sweep result as CSV; see write_records_csv for the format."""
+    write_records_csv(result.records, path, include_timing=include_timing)
 
 
 def read_csv_rows(path: str) -> list[TrialRecord]:
@@ -955,7 +950,7 @@ def read_csv_rows(path: str) -> list[TrialRecord]:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise CsvFormatError(f"{path}: missing columns {missing}")
-        columns = [(header.index(name), parse, na) for name, parse, na in _COLUMN_PARSERS]
+        columns = [(header.index(name), decode, na) for name, _, decode, na in _CSV_CODECS]
         identity = columns[: len(CSV_COLUMNS) - len(_METRIC_COLUMNS)]
         metric_at = [header.index(c) for c in _METRIC_COLUMNS]
         records = []
@@ -968,8 +963,8 @@ def read_csv_rows(path: str) -> list[TrialRecord]:
             failed = all(row[i] == _FAILURE_MARKER for i in metric_at)
             values: list[object] = []
             try:
-                for i, parse, na in identity if failed else columns:
-                    values.append(None if na and row[i] == _NA else parse(row[i]))
+                for i, decode, na in identity if failed else columns:
+                    values.append(None if na and row[i] == _NA else decode(row[i]))
             except ValueError:
                 name = CSV_COLUMNS[len(values)]  # the column that did not parse
                 raise CsvFormatError(

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from obsmap import spectral
+from obsmap import harness, spectral
 from obsmap.cli import main
 from obsmap.graphs import from_edge_list, random_regular, serialize_edge_list
 from obsmap.harness import (
@@ -483,6 +483,31 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--n", "30", "--k", "1", "--m", "0", "--eta", "0.5",
                   "--threshold", "0.5", "--out", str(tmp_path / "x.csv")])
+
+    def test_failure_reasons_counted_most_frequent_first(self, capsys, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise RuntimeError("synthetic solve failure")
+
+        real = harness.select_anchors
+
+        def no_third_anchor(g, k, strategy, seed):
+            if k == 3:
+                raise RuntimeError("synthetic anchor failure")
+            return real(g, k, strategy, seed)
+
+        monkeypatch.setattr(harness, "low_frequency_basis", no_solve)
+        monkeypatch.setattr(harness, "select_anchors", no_third_anchor)
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "30", "--k", "1", "--k", "2", "--k", "3",
+            "--m", "0", "--m", "1", "--eta", "0.5", "--trials", "2", "--jobs", "1",
+            "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        # m = 1 rows fail in the solve, k = 3 rows at m = 0 in the anchor draw.
+        assert err.splitlines()[-3:] == [
+            "warning: 8 failed trials recorded",
+            "  6 x synthetic solve failure",
+            "  2 x synthetic anchor failure",
+        ]
 
     def test_invalid_grid_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -6,14 +6,19 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obsmap.harness as harness
 from obsmap.graphs import random_regular
 from obsmap.harness import (
     CSV_COLUMNS,
     DEFAULT_THRESHOLD,
+    FEATURES,
     QUANTIZERS,
+    STRATEGIES,
     ConfigPoint,
     CsvFormatError,
     SweepConfig,
@@ -33,7 +38,7 @@ from obsmap.harness import (
     write_records_csv,
 )
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, random_connected_graph, star_graph
 
 
 def point(**overrides) -> ConfigPoint:
@@ -43,6 +48,28 @@ def point(**overrides) -> ConfigPoint:
     )
     base.update(overrides)
     return ConfigPoint(**base)
+
+
+def trial_records():
+    """TrialRecords of every field kind: n/a diagnostics, a None r, and
+    failed records, whose metrics are None as the sweep builds them."""
+    floats = st.floats(allow_nan=False)
+    identity = dict(
+        n=st.integers(), r=st.none() | st.integers(), k=st.integers(), m=st.integers(),
+        eta=st.floats(1e-9, 1e9).map(repr) | st.sampled_from(["0.10", "2", "5e-1"]),
+        quantizer=st.sampled_from(QUANTIZERS), scaled=st.booleans(),
+        feature=st.sampled_from(FEATURES), anchor_strategy=st.sampled_from(STRATEGIES),
+        trial=st.integers(0), resample=st.integers(0), seed=st.integers(0, 2**64 - 1),
+    )
+    metrics = {
+        f.name: st.none() | (st.booleans() if f.type == "bool | None" else
+                             st.integers() if f.type == "int | None" else floats)
+        for f in dataclasses.fields(TrialRecord)
+        if f.name in CSV_COLUMNS and f.name not in identity
+    }
+    ok = st.builds(TrialRecord, **identity, **metrics, degenerate=st.booleans())
+    failed = st.builds(TrialRecord, **identity, failure=st.text(min_size=1))
+    return ok | failed
 
 
 def strip_timing(rec):
@@ -96,6 +123,17 @@ class TestSelectAnchors:
         g = path_graph(4)  # degrees 1,2,2,1
         assert select_anchors(g, 2, "degree", 0).anchors == (1, 2)
         assert select_anchors(g, 3, "degree", 0).anchors == (1, 2, 0)
+
+    @pytest.mark.parametrize("graph", [
+        *(star_graph(leaves) for leaves in (1, 2, 7)),
+        *(random_connected_graph(seed) for seed in range(40)),
+        *(random_regular(n, 3, seed) for n, seed in ((4, 0), (50, 1), (500, 2))),
+    ])
+    def test_degree_matches_python_sort_reference(self, graph):
+        degs = graph.degrees()
+        reference = sorted(range(graph.n), key=lambda v: (-int(degs[v]), v))
+        for k in range(graph.n + 1):
+            assert select_anchors(graph, k, "degree", 0).anchors == tuple(reference[:k])
 
     def test_farthest_second_anchor_is_an_endpoint(self):
         g = path_graph(5)
@@ -751,6 +789,33 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError, match=f"line 3: column {column}: cannot read '{cell}'"):
             read_csv_rows(str(path))
+
+    @given(st.lists(trial_records(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_codec_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("codec") / "rows.csv"
+        write_records_csv(records, str(path), include_timing=True)
+        # The CSV holds neither degenerate nor the failure reason: a failed
+        # record reads back with the failure marker.
+        expected = [
+            dataclasses.replace(
+                rec, degenerate=False, failure=None if rec.failure is None else "error")
+            for rec in records
+        ]
+        assert read_csv_rows(str(path)) == expected
+
+    def test_numpy_scalars_write_as_python_scalars(self, tmp_path):
+        rec = run_trial(point(), 0)
+        as_numpy = dataclasses.replace(
+            rec, n=np.int64(rec.n), seed=np.uint64(rec.seed),
+            codebook_size=np.int64(rec.codebook_size), error=np.float64(rec.error),
+            image_frac=np.float64(rec.image_frac), scaled=np.bool_(rec.scaled),
+            bounds_ok=np.bool_(rec.bounds_ok),
+        )
+        a, b = tmp_path / "python.csv", tmp_path / "numpy.csv"
+        write_records_csv([rec], str(a))
+        write_records_csv([as_numpy], str(b))
+        assert b.read_bytes() == a.read_bytes()
 
     def test_read_rejects_short_row(self, tmp_path):
         path = tmp_path / "short_row.csv"
