@@ -9,7 +9,6 @@ violations raise ConnectivityError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -66,8 +65,8 @@ class Graph:
 
     The one storage is the symmetric CSR adjacency matrix (unit weights,
     sorted column indices, read-only arrays); edge_count is the number of
-    undirected edges. adjacency[v], the sorted tuple of neighbours of v, is
-    a view built on first read. Graphs compare and hash by (n, adjacency).
+    undirected edges. Every constructor builds the CSR the same way, so
+    graphs compare and hash by n and its indptr and indices arrays.
     """
 
     n: int
@@ -78,17 +77,14 @@ class Graph:
         for arr in (self._csr.data, self._csr.indices, self._csr.indptr):
             arr.setflags(write=False)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        indptr, indices = self._csr.indptr.tolist(), self._csr.indices.tolist()
-        return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
-
     def __eq__(self, other: object) -> bool:
-        same = isinstance(other, Graph) and self.n == other.n
-        return same and self.adjacency == other.adjacency
+        if not (isinstance(other, Graph) and self.n == other.n):
+            return False
+        a, b = self._csr, other._csr
+        return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self._csr.indptr.tobytes(), self._csr.indices.tobytes()))
 
     def degree(self, v: int) -> int:
         return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
@@ -97,11 +93,10 @@ class Graph:
         return np.diff(self._csr.indptr).astype(np.int64)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield undirected edges as (u, v) with u < v, lexicographically."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
+        """The undirected edges as (u, v) with u < v, in lexicographic order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._csr.indptr))
+        upper = self._csr.indices > rows
+        return zip(rows[upper].tolist(), self._csr.indices[upper].tolist())
 
     def to_sparse(self) -> csr_matrix:
         """Adjacency matrix as CSR with unit weights, sorted column indices
@@ -167,31 +162,44 @@ def _graph(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     return Graph(n=n, edge_count=len(lo), _csr=csr)
 
 
-def _pair_arrays(pairs: set[tuple[int, int]]) -> np.ndarray:
-    """The (u, v) pairs as the rows (us, vs) of a (2, E) int64 array."""
-    return np.fromiter(pairs, dtype=np.dtype((np.int64, 2)), count=len(pairs)).T
+def _repeats(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The mask of the pairs (lo[i], hi[i]) that repeat an earlier pair.
+
+    A stable sort of the keys puts each repeat after the pair's first
+    occurrence, in the same run. Pairs within [0, n) have distinct keys.
+    """
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(key.size, dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeated
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from explicit undirected edges.
 
     Rejects out-of-range endpoints, self-loops, and duplicate edges; use
-    from_edge_list for tolerant ingestion of raw files.
+    from_edge_list for tolerant ingestion of raw files. The error names the
+    first offending edge in input order, and an edge out of range is
+    reported as such even if it is also a loop or a repeat.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
+    us, vs = np.fromiter(edges, dtype=np.dtype((np.int64, 2))).T
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    out_of_range = (lo < 0) | (hi >= n)
+    # Out-of-range keys can collide with others without misnaming the first
+    # fault: such an edge is reported as out of range, before any later edge.
+    bad = out_of_range | (lo == hi) | _repeats(n, lo, hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(us[i]), int(vs[i])
+        if out_of_range[i]:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-    return _graph(n, *_pair_arrays(seen))
+        raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+    return _graph(n, lo, hi)
 
 
 def random_regular(n: int, r: int, seed: int) -> Graph:
@@ -253,9 +261,7 @@ def from_edge_list(lines: Iterable[str]) -> ParsedEdgeList:
             the message names the 1-based line number.
     """
     token_ids: dict[str, int] = {}
-    edge_set: set[tuple[int, int]] = set()
-    duplicate_edges = 0
-    self_loops = 0
+    ends: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -265,25 +271,17 @@ def from_edge_list(lines: Iterable[str]) -> ParsedEdgeList:
             raise EdgeListParseError(
                 f"line {lineno}: expected two vertex tokens, got {len(tokens)}"
             )
-        ids = []
-        for tok in tokens:
-            if tok not in token_ids:
-                token_ids[tok] = len(token_ids)
-            ids.append(token_ids[tok])
-        u, v = ids
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edge_set:
-            duplicate_edges += 1
-            continue
-        edge_set.add(key)
+        ends.extend(token_ids.setdefault(tok, len(token_ids)) for tok in tokens)
+    us, vs = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    loops = lo == hi
+    repeated = _repeats(len(token_ids), lo, hi) & ~loops
+    kept = ~(loops | repeated)
     return ParsedEdgeList(
-        graph=_graph(len(token_ids), *_pair_arrays(edge_set)),
+        graph=_graph(len(token_ids), lo[kept], hi[kept]),
         token_ids=token_ids,
-        duplicate_edges=duplicate_edges,
-        self_loops=self_loops,
+        duplicate_edges=int(np.count_nonzero(repeated)),
+        self_loops=int(np.count_nonzero(loops)),
     )
 
 

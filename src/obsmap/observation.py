@@ -12,15 +12,15 @@ kernel over an int64 matrix. The anchor stage groups the profile matrix into
 buckets; it depends only on the graph and the anchors, so one stage serves
 every code table. The refinement stage groups bucket ids beside the code
 ids of the code table, whose rows are grouped once per table, into fibers.
-Every statistic is computed from group ids and sizes; tuple-keyed views and
-bucket aggregates are built only when a caller reads them.
+Every statistic is computed from group ids and sizes, and bucket aggregates
+are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -47,10 +47,6 @@ __all__ = [
     "sequential_sum",
 ]
 
-Profile = tuple[int, ...]
-Code = tuple[int, ...]
-Observation = tuple[Profile, Code]
-
 # Bucket-size cutoffs reported by bucket_diagnostics. The base cutoff 2
 # covers all non-singleton buckets; the larger ones isolate buckets where
 # collisions have room to matter.
@@ -74,16 +70,6 @@ class Groups:
 
     def __len__(self) -> int:
         return self.sizes.size
-
-    def members(self) -> list[tuple[int, ...]]:
-        """The ascending rows of each group, in group order."""
-        order = np.argsort(self.ids, kind="stable").tolist()
-        out = []
-        start = 0
-        for end in np.cumsum(self.sizes).tolist():
-            out.append(tuple(order[start:end]))
-            start = end
-        return out
 
 
 def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,13 +161,9 @@ class ObservationTable:
     """Per-vertex observations with their fiber and bucket partitions.
 
     profile_matrix (n, k) and code_matrix (n, m) hold each vertex's distance
-    profile and code row; fiber_groups partitions the vertices by the full
-    observation and bucket_groups by the profile alone.
-
-    The tuple views are built on first access: profiles[v] and codes[v] are
-    the distance tuple and code tuple of vertex v; fibers maps (profile,
-    code) to the sorted tuple of member vertices and buckets does the same
-    for profile alone, both in order of first appearance.
+    profile and code row, its observation being the two rows side by side;
+    fiber_groups partitions the vertices by the full observation and
+    bucket_groups by the profile alone.
     """
 
     n: int
@@ -189,26 +171,6 @@ class ObservationTable:
     code_matrix: np.ndarray
     fiber_groups: Groups
     bucket_groups: Groups
-
-    @cached_property
-    def profiles(self) -> tuple[Profile, ...]:
-        return tuple(map(tuple, self.profile_matrix.tolist()))
-
-    @cached_property
-    def codes(self) -> tuple[Code, ...]:
-        return tuple(map(tuple, self.code_matrix.tolist()))
-
-    @cached_property
-    def fibers(self) -> Mapping[Observation, tuple[int, ...]]:
-        members = self.fiber_groups.members()
-        return {
-            (self.profiles[vs[0]], self.codes[vs[0]]): vs for vs in members
-        }
-
-    @cached_property
-    def buckets(self) -> Mapping[Profile, tuple[int, ...]]:
-        members = self.bucket_groups.members()
-        return {self.profiles[vs[0]]: vs for vs in members}
 
 
 @dataclass(frozen=True)
@@ -349,27 +311,34 @@ def fiber_stats(table: ObservationTable) -> FiberStats:
     )
 
 
-def min_id_section(table: ObservationTable) -> dict[Observation, int]:
-    """One representative per fiber: the smallest member id."""
-    return {obs: vs[0] for obs, vs in table.fibers.items()}
+def min_id_section(table: ObservationTable) -> np.ndarray:
+    """One representative per fiber, in fiber order: the smallest member id."""
+    return table.fiber_groups.first.copy()
 
 
-def section_success(
-    table: ObservationTable, section: Mapping[Observation, int] | None = None
-) -> float:
+def section_success(table: ObservationTable, section: np.ndarray | None = None) -> float:
     """Exact-recovery rate of a reconstruction map given as a section.
 
-    Evaluates the map vertex by vertex; any section (one member per fiber)
-    attains the optimal rate, which is the point of reporting it.
+    The section lists vertices; the map sends an observation to the first
+    of them that has it. Every vertex's observation row is looked up among
+    the section's rows, independently of the table's fiber ids, and the
+    vertices the map sends back to themselves are counted. Any section (one member
+    per fiber) attains the optimal rate, which is the point of reporting it.
     """
     if section is None:
         section = min_id_section(table)
-    hits = 0
-    for v in range(table.n):
-        obs = (table.profiles[v], table.codes[v])
-        if section.get(obs) == v:
-            hits += 1
-    return hits / table.n
+    section = np.asarray(section, dtype=np.intp)
+    rows = np.hstack([table.profile_matrix, table.code_matrix])
+    if section.size == 0 or rows.shape[1] == 0:
+        # No vertex to send anything to, or one observation, sent to the
+        # first section vertex.
+        return min(section.size, 1) / table.n
+    # Equal rows have equal bytes, so one void key per row compares them.
+    keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+    # The section's vertices by key; a stable sort keeps the first of ties first.
+    ranked = section[np.argsort(keys[section], kind="stable")]
+    decoded = ranked[np.searchsorted(keys[ranked], keys).clip(max=section.size - 1)]
+    return int(np.count_nonzero(decoded == np.arange(table.n))) / table.n
 
 
 def sequential_sum(values: Iterable[float]) -> float:

@@ -8,8 +8,8 @@ do not depend on solver internals.
 
 Small operators (n up to 300) are solved densely; larger ones by a
 matrix-free Lanczos solve (ARPACK, Lehoucq, Sorensen and Yang, 1998) at
-machine precision from a fixed start vector, so repeated solves return
-bit-identical vectors. The solve runs on a Chebyshev polynomial of the
+machine precision from seeded start and restart vectors, so repeated solves
+return bit-identical vectors. The solve runs on a Chebyshev polynomial of the
 operator that damps the unwanted part of the spectrum (Zhou and Saad, SIAM
 J. Matrix Anal. Appl., 2007), which cuts the number of ARPACK steps; the
 damped interval starts at a Rayleigh-Ritz upper bound from a short Lanczos
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import inspect
 import os
 import threading
 from dataclasses import dataclass
@@ -88,9 +89,12 @@ _BOUND_STEPS = 40
 # 2I - L: its sparse products cost more, and [cut, 2] is mostly empty.
 _MAX_CUT = 0.6
 
-# Seed of the Lanczos start vector. ARPACK otherwise draws a fresh random
-# start per call, and the vectors then differ in their last bits.
+# Seed of the Lanczos start vector and of the vectors ARPACK restarts from
+# when its Krylov space breaks down (complete graphs, stars). ARPACK otherwise
+# draws fresh random vectors per call, and the results then differ from call
+# to call. Older scipy releases draw the restart vectors themselves.
 _START_SEED = 0
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
 
 # First entry of a column larger than this in absolute value decides the sign.
 _SIGN_TOL = 1e-12
@@ -400,7 +404,8 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
         # operator lie near 1 or above, where ARPACK's test, relative to the
         # Ritz value, is about as strict as an absolute one.
         lap = sp.csr_matrix(op, dtype=np.float64)
-        start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
+        rng = np.random.default_rng(_START_SEED)
+        start = rng.uniform(-1.0, 1.0, n)
         cut = _ritz_cut(lap, start, k)
         if cut is None:
             operator = _ChebyshevFilter(lap, 2.0, 1.0, 1)
@@ -412,9 +417,11 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
         # pair it returns is a true eigenpair, so neither the residual check
         # nor the degeneracy flag can see the missing one. The filter cuts the
         # number of steps to reach machine precision instead of the precision.
+        restarts = {"rng": rng} if _EIGSH_TAKES_RNG else {}
         try:
-            _, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="LA", v0=start, tol=0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            _, vecs = scipy.sparse.linalg.eigsh(
+                operator, k=k, which="LA", v0=start, tol=0, **restarts)
+        except scipy.sparse.linalg.ArpackError as exc:
             raise EigenSolverError(f"Lanczos solve did not converge: {exc}") from exc
         vals = np.einsum("ij,ij->j", vecs, lap @ vecs)
         if cut is not None and np.any(vals >= cut):
@@ -434,8 +441,8 @@ def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
     Every solved eigenpair is residual-checked against the operator; column
     signs are canonicalized (first entry above 1e-12 in absolute value is
     made positive); relative gaps below DEGENERACY_TOL set the flag. The
-    Lanczos start vector is fixed, so repeated calls give bit-identical
-    results.
+    Lanczos start and restart vectors are seeded, so repeated calls give
+    bit-identical results.
 
     Args:
         op: symmetric operator with spectrum in [0, 2], typically a

@@ -1,4 +1,4 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and dict views for the test suite."""
 
 from __future__ import annotations
 
@@ -37,3 +37,50 @@ def random_connected_graph(seed: int, n_min: int = 4, n_max: int = 30) -> Graph:
         key = (min(u, v), max(u, v))
         edges.add(key)
     return graph_from_edges(n, sorted(edges))
+
+
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuple of each vertex, read off the CSR arrays."""
+    csr = g.to_sparse()
+    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
+    return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
+
+
+def row_tuples(matrix: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in matrix.tolist()]
+
+
+def ref_join(profile_rows, code_rows):
+    """Fibers keyed by (profile, code) and buckets keyed by profile, each
+    mapping to its ascending member tuple, in first-appearance order."""
+    fibers, buckets = {}, {}
+    for v, (p, c) in enumerate(zip(profile_rows, code_rows)):
+        fibers.setdefault((p, c), []).append(v)
+        buckets.setdefault(p, []).append(v)
+    return (
+        {obs: tuple(vs) for obs, vs in fibers.items()},
+        {p: tuple(vs) for p, vs in buckets.items()},
+    )
+
+
+def observations(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each vertex's (profile, code) observation, read off the table's matrices."""
+    return list(zip(row_tuples(table.profile_matrix), row_tuples(table.code_matrix)))
+
+
+def assert_groups_match(groups, ref) -> None:
+    """The groups are the reference dict's member tuples, in its order."""
+    members = list(ref.values())
+    assert groups.first.tolist() == [vs[0] for vs in members]
+    assert groups.sizes.tolist() == [len(vs) for vs in members]
+    for i, vs in enumerate(members):
+        assert np.flatnonzero(groups.ids == i).tolist() == list(vs)
+
+
+def table_views(table):
+    """(fibers, buckets) of an observation table, joined from its matrices,
+    once the table's fiber and bucket groups are checked against them."""
+    fibers, buckets = ref_join(row_tuples(table.profile_matrix), row_tuples(table.code_matrix))
+    assert_groups_match(table.fiber_groups, fibers)
+    assert_groups_match(table.bucket_groups, buckets)
+    return fibers, buckets

@@ -49,7 +49,15 @@ from obsmap.spectral import (
 )
 from obsmap.theory import BudgetInputs, rho_eng
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import (
+    cycle_graph,
+    observations,
+    path_graph,
+    random_connected_graph,
+    row_tuples,
+    star_graph,
+    table_views,
+)
 
 
 def gate(label: str, ok: bool, detail: str) -> None:
@@ -202,20 +210,18 @@ class TestOptimalErrorIdentity:
             anchors = AnchorSet((anchor,))
             codes = quantize_absolute(empty_embedding(g.n, True), 0.5)
             table = build_observation(g, anchors, codes)
-            if len(table.fibers) <= 4 and g.n <= 10:
+            if len(table_views(table)[0]) <= 4 and g.n <= 10:
                 instances.append((g, table))
         assert len(instances) >= 6
         for g, table in instances:
-            image = list(table.fibers)
+            observed = observations(table)
+            image = list(table_views(table)[0])
             best = 0
             for assignment in itertools.product(range(g.n), repeat=len(image)):
                 mapping = dict(zip(image, assignment))
-                hits = sum(
-                    1 for v in range(g.n)
-                    if mapping[(table.profiles[v], table.codes[v])] == v
-                )
+                hits = sum(1 for v, obs in enumerate(observed) if mapping[obs] == v)
                 best = max(best, hits)
-            assert best == len(table.fibers)
+            assert best == len(image)
             assert section_success(table) == best / g.n
         gate(
             "exhaustive reconstruction search", True,
@@ -248,12 +254,13 @@ class TestPerBucketInequality:
         # claim is not blurred by float rounding.
         buckets = 0
         for _, table, _ in instance_corpus:
-            for members in table.buckets.values():
+            code_rows = row_tuples(table.code_matrix)
+            for members in table_views(table)[1].values():
                 b = len(members)
                 if b < 2:
                     continue
                 buckets += 1
-                counts = Counter(table.codes[v] for v in members).values()
+                counts = Counter(code_rows[v] for v in members).values()
                 distinct = len(counts)
                 coll = Fraction(
                     sum(c * (c - 1) for c in counts), b * (b - 1))

@@ -33,6 +33,7 @@ from obsmap.graphs import (
 from obsmap.harness import graph_seed_for
 
 from conftest import (
+    adjacency,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -46,7 +47,7 @@ INF = float("inf")
 def floyd_warshall(g) -> list[list[float]]:
     n = g.n
     dist = [
-        [0.0 if i == j else (1.0 if j in g.adjacency[i] else INF) for j in range(n)]
+        [0.0 if i == j else (1.0 if j in adjacency(g)[i] else INF) for j in range(n)]
         for i in range(n)
     ]
     for mid in range(n):
@@ -66,7 +67,7 @@ def floyd_warshall(g) -> list[list[float]]:
 def naive_stats(g) -> dict:
     """Independent O(n^3) recomputation of every structural statistic."""
     n = g.n
-    adj = [set(nb) for nb in g.adjacency]
+    adj = [set(nb) for nb in adjacency(g)]
     dist = floyd_warshall(g)
     pairs = [dist[i][j] for i in range(n) for j in range(i + 1, n)]
     assert all(d < INF for d in pairs)
@@ -101,7 +102,7 @@ def naive_stats(g) -> dict:
 class TestGraphFromEdges:
     def test_builds_sorted_adjacency(self):
         g = graph_from_edges(4, [(2, 0), (0, 1), (3, 1)])
-        assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
+        assert adjacency(g) == ((1, 2), (0, 3), (0,), (1,))
         assert g.edge_count == 3
         assert g.degrees().tolist() == [2, 2, 1, 1]
 
@@ -109,9 +110,8 @@ class TestGraphFromEdges:
         g = graph_from_edges(4, [(2, 0), (0, 1), (3, 1)])
         csr = g.to_sparse()
         assert g.to_sparse() is csr
-        assert [tuple(csr.indices[csr.indptr[v]:csr.indptr[v + 1]]) for v in range(4)] == list(
-            g.adjacency
-        )
+        assert csr.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert csr.indices.tolist() == [1, 2, 0, 3, 0, 1]
         assert csr.data.tolist() == [1.0] * 6
         with pytest.raises(ValueError):
             csr.indices[0] = 3
@@ -133,26 +133,27 @@ class TestRandomRegular:
     def test_k4_is_forced(self):
         for seed in range(5):
             g = random_regular(4, 3, seed)
-            assert g.adjacency == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+            assert adjacency(g) == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
     @pytest.mark.parametrize("n,r", [(500, 3), (20, 4), (11, 4), (10, 5)])
     def test_degrees_simple_connected(self, n, r):
         g = random_regular(n, r, 12345)
         degs = g.degrees()
         assert degs.min() == degs.max() == r
-        for v, nbrs in enumerate(g.adjacency):
+        adj = adjacency(g)
+        for v, nbrs in enumerate(adj):
             assert list(nbrs) == sorted(set(nbrs))
             assert v not in nbrs
             for u in nbrs:
-                assert v in g.adjacency[u]
+                assert v in adj[u]
         assert bfs_distances(g, 0).max() >= 1  # raises if disconnected
 
     def test_deterministic_in_seed(self):
         a = random_regular(60, 3, 7)
         b = random_regular(60, 3, 7)
         c = random_regular(60, 3, 8)
-        assert a.adjacency == b.adjacency
-        assert a.adjacency != c.adjacency
+        assert adjacency(a) == adjacency(b)
+        assert adjacency(a) != adjacency(c)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -371,8 +372,8 @@ class TestFromEdgeList:
         assert parsed.graph.edge_count == g.edge_count
         relabel = {v: parsed.token_ids[str(v)] for v in range(g.n)}
         for u in range(g.n):
-            mapped = sorted(relabel[w] for w in g.adjacency[u])
-            assert tuple(mapped) == parsed.graph.adjacency[relabel[u]]
+            mapped = sorted(relabel[w] for w in adjacency(g)[u])
+            assert tuple(mapped) == adjacency(parsed.graph)[relabel[u]]
 
 
 class TestLargestConnectedComponent:
@@ -383,12 +384,12 @@ class TestLargestConnectedComponent:
         lcc = largest_connected_component(g)
         assert lcc.n == 3
         assert lcc.edge_count == 3
-        assert lcc.adjacency == ((1, 2), (0, 2), (0, 1))
+        assert adjacency(lcc) == ((1, 2), (0, 2), (0, 1))
 
     def test_connected_graph_is_identity(self):
         g = random_connected_graph(3)
         lcc = largest_connected_component(g)
-        assert lcc.adjacency == g.adjacency
+        assert adjacency(lcc) == adjacency(g)
 
     def test_tie_goes_to_smallest_id(self):
         # components {0,1,2,3} as a path and {4,5,6,7} as a cycle
@@ -450,10 +451,12 @@ class Reference(NamedTuple):
 
 
 def reference_from_edges(n: int, edges) -> Reference:
-    """Per-edge validation into neighbour lists, each sorted into a tuple."""
+    """Per-edge validation into neighbour lists, each sorted into a tuple:
+    the first offending edge in input order raises."""
     seen = set()
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
+        u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -505,7 +508,7 @@ def reference_lcc(ref: Reference) -> Reference:
 
 
 def assert_matches_reference(g, ref: Reference) -> None:
-    assert "adjacency" not in vars(g)  # no tuple is built at construction
+    assert not hasattr(g, "adjacency")  # the CSR is the one storage
     want = ref.csr()
     csr = g.to_sparse()
     assert g.to_sparse() is csr
@@ -521,11 +524,10 @@ def assert_matches_reference(g, ref: Reference) -> None:
     assert g.degrees().dtype == np.int64
     assert g.degrees().tolist() == [len(a) for a in ref.adjacency]
     assert [g.degree(v) for v in range(g.n)] == [len(a) for a in ref.adjacency]
-    assert g.adjacency == ref.adjacency
-    assert g.adjacency is g.adjacency
+    assert adjacency(g) == ref.adjacency
     assert list(g.edges()) == ref.edges()
     twin = graph_from_edges(ref.n, reversed(ref.edges()))
-    assert g == twin and hash(g) == hash(twin) == hash((ref.n, ref.adjacency))
+    assert g == twin and hash(g) == hash(twin)
     assert g != graph_from_edges(ref.n + 1, ref.edges())
     if ref.edges():
         assert g != graph_from_edges(ref.n, ref.edges()[1:])
@@ -543,13 +545,34 @@ def edge_lists(low: int, high: int):
     )
 
 
+@st.composite
+def faulty_edge_lists(draw):
+    """(n, edges): in-range edges mixed with out-of-range pairs (near and
+    far), self-loops, and repeats of any of them in either orientation, as
+    Python or numpy ints."""
+    n = draw(st.integers(0, 12))
+    end = st.integers(0, n - 1) if n else st.nothing()
+    stray = st.one_of(st.integers(-2, n + 2), st.integers(-(2**40), 2**40))
+    edges = draw(st.lists(st.one_of(
+        st.tuples(end, end),
+        st.tuples(stray, stray),
+        stray.map(lambda v: (v, v)),
+    ), max_size=30))
+    for pick, flip, at in draw(st.lists(
+            st.tuples(st.integers(0, 99), st.booleans(), st.integers(0, 99)), max_size=6)):
+        if edges:
+            u, v = edges[pick % len(edges)]
+            edges.insert(at % (len(edges) + 1), (v, u) if flip else (u, v))
+    if draw(st.booleans()):
+        edges = [(np.int64(u), np.int64(v)) for u, v in edges]
+    return n, edges
+
+
 class TestConstructionMatchesTupleReference:
     """Every producer against the tuple-based construction it replaced."""
 
-    @given(edge_lists(-1, 0))
-    @settings(max_examples=300, deadline=None)
-    def test_graph_from_edges(self, case):
-        n, edges = case
+    @staticmethod
+    def check_graph_from_edges(n, edges):
         try:
             ref = reference_from_edges(n, edges)
         except ValueError as exc:
@@ -557,6 +580,16 @@ class TestConstructionMatchesTupleReference:
                 graph_from_edges(n, edges)
         else:
             assert_matches_reference(graph_from_edges(n, edges), ref)
+
+    @given(edge_lists(-1, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_graph_from_edges(self, case):
+        self.check_graph_from_edges(*case)
+
+    @given(faulty_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_graph_from_edges_names_first_fault(self, case):
+        self.check_graph_from_edges(*case)
 
     @given(
         st.integers(0, 10**6).flatmap(
@@ -629,6 +662,33 @@ class TestConstructionMatchesTupleReference:
         g = graph_from_edges(n, edges)
         assert_matches_reference(largest_connected_component(g), reference_lcc(
             reference_from_edges(n, edges)))
+
+
+class TestGraphIdentity:
+    """Equality, hash and edges() read the CSR arrays."""
+
+    @given(st.integers(0, 10_000), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_permuted_edge_lists_give_equal_graphs(self, seed, data):
+        g = random_connected_graph(seed)
+        edges = data.draw(st.permutations(list(g.edges())))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        twin = graph_from_edges(g.n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)])
+        assert twin == g and hash(twin) == hash(g)
+        assert len({g, twin}) == 1
+        assert list(twin.edges()) == list(g.edges()) == sorted(g.edges())
+
+    def test_graphs_differing_only_in_n_are_unequal(self):
+        assert graph_from_edges(5, [(0, 1), (1, 2)]) != graph_from_edges(6, [(0, 1), (1, 2)])
+        assert graph_from_edges(3, []) != graph_from_edges(4, [])
+        assert graph_from_edges(0, []) != graph_from_edges(1, [])
+        assert graph_from_edges(3, []) == graph_from_edges(3, [])
+        assert graph_from_edges(2, [(0, 1)]) != ((0, 1),)
+
+    def test_edges_of_empty_and_edgeless_graphs(self):
+        assert list(graph_from_edges(0, []).edges()) == []
+        assert list(graph_from_edges(5, []).edges()) == []
+        assert list(graph_from_edges(5, [(3, 1)]).edges()) == [(1, 3)]
 
 
 class TestStructuralStats:

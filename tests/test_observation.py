@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import Counter, namedtuple
@@ -25,6 +26,7 @@ from obsmap.observation import (
     BucketDiagnostics,
     BucketLevel,
     FiberStats,
+    Groups,
     _group_rows,
     _median,
     anchor_stage,
@@ -46,7 +48,16 @@ from obsmap.spectral import (
     quantize_absolute,
 )
 
-from conftest import path_graph, random_connected_graph, star_graph
+from conftest import (
+    assert_groups_match,
+    observations,
+    path_graph,
+    random_connected_graph,
+    ref_join,
+    row_tuples,
+    star_graph,
+    table_views,
+)
 
 
 def codes_from_rows(rows) -> QuantizedCodes:
@@ -83,28 +94,28 @@ def random_instance(seed: int, m: int = 2, eta: float = 0.5):
 class TestBuildObservation:
     def test_star_center_anchor(self):
         g = star_graph(3)
-        table = build_observation(g, AnchorSet((0,)), no_codes(4))
-        assert len(table.fibers) == 2
-        assert table.buckets[(0,)] == (0,)
-        assert table.buckets[(1,)] == (1, 2, 3)
+        fibers, buckets = table_views(build_observation(g, AnchorSet((0,)), no_codes(4)))
+        assert len(fibers) == 2
+        assert buckets[(0,)] == (0,)
+        assert buckets[(1,)] == (1, 2, 3)
 
     def test_path_end_anchors_injective(self):
         g = path_graph(4)
         table = build_observation(g, AnchorSet((0, 3)), no_codes(4))
-        assert len(table.fibers) == 4
+        assert len(table_views(table)[0]) == 4
 
     def test_m0_fibers_equal_buckets(self):
         g, anchors, _ = random_instance(3)
-        table = build_observation(g, anchors, no_codes(g.n))
-        assert set(table.fibers.values()) == set(table.buckets.values())
+        fibers, buckets = table_views(build_observation(g, anchors, no_codes(g.n)))
+        assert set(fibers.values()) == set(buckets.values())
 
     def test_partition_invariants(self):
         g, anchors, codes = random_instance(7)
-        table = build_observation(g, anchors, codes)
-        assert sum(len(vs) for vs in table.fibers.values()) == g.n
-        assert sum(len(vs) for vs in table.buckets.values()) == g.n
-        for (profile, _), members in table.fibers.items():
-            bucket = set(table.buckets[profile])
+        fibers, buckets = table_views(build_observation(g, anchors, codes))
+        assert sum(len(vs) for vs in fibers.values()) == g.n
+        assert sum(len(vs) for vs in buckets.values()) == g.n
+        for (profile, _), members in fibers.items():
+            bucket = set(buckets[profile])
             assert set(members) <= bucket
 
     def test_row_count_mismatch(self):
@@ -146,13 +157,12 @@ class TestOptimalError:
         # table: none beats success 0.5.
         g = star_graph(3)
         table = build_observation(g, AnchorSet((0,)), no_codes(4))
-        obs = sorted(table.fibers)
+        observed = observations(table)
+        obs = sorted(set(observed))
         best = 0
         for assignment in itertools.product(range(4), repeat=len(obs)):
             guess = dict(zip(obs, assignment))
-            hits = sum(
-                guess[(table.profiles[v], table.codes[v])] == v for v in range(4)
-            )
+            hits = sum(guess[o] == v for v, o in enumerate(observed))
             best = max(best, hits)
         assert best / 4 == 0.5
         assert fiber_stats(table).error == 0.5
@@ -173,23 +183,23 @@ class TestOptimalError:
         # shrink to n <= 8 with a single coarse anchor.
         g = random_connected_graph(seed, n_min=4, n_max=8)
         table = build_observation(g, AnchorSet((0,)), no_codes(g.n))
-        obs = sorted(table.fibers)
+        observed = observations(table)
+        obs = sorted(set(observed))
         if len(obs) > 4:
             return
         best = 0
         for assignment in itertools.product(range(g.n), repeat=len(obs)):
             guess = dict(zip(obs, assignment))
-            hits = sum(
-                guess[(table.profiles[v], table.codes[v])] == v for v in range(g.n)
-            )
+            hits = sum(guess[o] == v for v, o in enumerate(observed))
             best = max(best, hits)
-        assert best == len(table.fibers)
+        assert best == len(table_views(table)[0])
 
     def test_min_id_section_picks_smallest(self):
         g = star_graph(3)
         table = build_observation(g, AnchorSet((0,)), no_codes(4))
         section = min_id_section(table)
-        assert section[((1,), ())] == 1
+        assert section.tolist() == [0, 1]
+        assert section is not table.fiber_groups.first
 
 
 class TestBucketCollision:
@@ -250,7 +260,7 @@ class TestBucketDiagnostics:
         # leaves 2,3,4 profile (2,); that bucket carries codes [z1, z1, z2]
         codes = codes_from_rows([[9], [8], [1], [1], [2]])
         table = build_observation(g, AnchorSet((1,)), codes)
-        assert len(table.buckets) == 3
+        assert len(table_views(table)[1]) == 3
         return table
 
     def test_five_vertex_example(self):
@@ -289,9 +299,11 @@ class TestBucketDiagnostics:
         g, anchors, codes = random_instance(seed, m=1, eta=2.0)
         table = build_observation(g, anchors, codes)
         diag = bucket_diagnostics(table)
+        _, buckets = table_views(table)
+        code_rows = row_tuples(table.code_matrix)
         for i, profile in enumerate(diag.profiles.tolist()):
-            members = table.buckets[tuple(profile)]
-            counts = Counter(table.codes[v] for v in members)
+            members = buckets[tuple(profile)]
+            counts = Counter(code_rows[v] for v in members)
             b = len(members)
             same = sum(c * (c - 1) for c in counts.values())
             assert diag.sizes[i] == b
@@ -308,9 +320,10 @@ class TestBucketDiagnostics:
         g, anchors, codes = random_instance(seed, m=1, eta=1.0)
         table = build_observation(g, anchors, codes)
         diag = bucket_diagnostics(table)
-        singleton_buckets = sum(1 for vs in table.buckets.values() if len(vs) == 1)
+        fibers, buckets = table_views(table)
+        singleton_buckets = sum(1 for vs in buckets.values() if len(vs) == 1)
         total = singleton_buckets + int(diag.code_counts.sum())
-        assert total == len(table.fibers)
+        assert total == len(fibers)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -333,12 +346,12 @@ class TestRefinement:
     @settings(max_examples=20, deadline=None)
     def test_adding_code_coordinates_never_merges_fibers(self, seed):
         g, anchors, codes = random_instance(seed, m=2, eta=0.5)
-        full = build_observation(g, anchors, codes)
-        distance_only = build_observation(g, anchors, no_codes(g.n))
-        assert len(full.fibers) >= len(distance_only.fibers)
+        full = table_views(build_observation(g, anchors, codes))[0]
+        distance_only = table_views(build_observation(g, anchors, no_codes(g.n)))[0]
+        assert len(full) >= len(distance_only)
         # spectral-only lower bound: distinct code rows
-        spectral_rows = len(set(full.codes))
-        assert len(full.fibers) >= spectral_rows
+        spectral_rows = len(set(row_tuples(codes.codes)))
+        assert len(full) >= spectral_rows
 
 
 def test_near_injective_regime_matches_published_row():
@@ -372,20 +385,9 @@ def test_near_injective_regime_matches_published_row():
     assert 4.45e-5 <= mean_wcoll <= 4.45e-3
 
 
-# Dict/Counter reference implementation of the observation join and its
-# statistics, built vertex by vertex. The array-native module must agree
-# with it exactly, float bits included.
-
-
-def ref_join(profile_rows, code_rows):
-    fibers, buckets = {}, {}
-    for v, (p, c) in enumerate(zip(profile_rows, code_rows)):
-        fibers.setdefault((p, c), []).append(v)
-        buckets.setdefault(p, []).append(v)
-    return (
-        {obs: tuple(vs) for obs, vs in fibers.items()},
-        {p: tuple(vs) for p, vs in buckets.items()},
-    )
+# Dict/Counter reference implementation of the observation join (ref_join,
+# in conftest) and its statistics, built vertex by vertex. The array-native
+# module must agree with it exactly, float bits included.
 
 
 def ref_fiber_stats(fibers, n):
@@ -514,10 +516,10 @@ class TestArrayNativeMatchesReference:
         code_rows = [tuple(int(c) for c in row) for row in codes.codes]
         fibers, buckets = ref_join(profile_rows, code_rows)
 
-        assert table.profiles == tuple(profile_rows)
-        assert table.codes == tuple(code_rows)
-        assert list(table.fibers.items()) == list(fibers.items())
-        assert list(table.buckets.items()) == list(buckets.items())
+        assert row_tuples(table.profile_matrix) == profile_rows
+        assert row_tuples(table.code_matrix) == code_rows
+        assert_groups_match(table.fiber_groups, fibers)
+        assert_groups_match(table.bucket_groups, buckets)
         assert fiber_stats(table) == ref_fiber_stats(fibers, g.n)
         diag = bucket_diagnostics(table)
         assert diag.n == g.n
@@ -527,9 +529,94 @@ class TestArrayNativeMatchesReference:
     def test_k0_and_m0_is_one_fiber(self):
         g = random_regular(10, 3, 1)
         table = build_observation(g, AnchorSet(()), no_codes(g.n))
-        assert table.fibers == {((), ()): tuple(range(10))}
-        assert fiber_stats(table) == ref_fiber_stats(table.fibers, 10)
+        fibers, _ = table_views(table)
+        assert fibers == {((), ()): tuple(range(10))}
+        assert fiber_stats(table) == ref_fiber_stats(fibers, 10)
         assert codebook_size(no_codes(g.n)) == 1
+
+
+def ref_section_success(observed, section):
+    """The decoder as a dict: each observation goes to the first section
+    vertex that has it, and a vertex is recovered when it comes back."""
+    decode = {}
+    for v in section:
+        decode.setdefault(observed[v], v)
+    return sum(decode.get(obs) == v for v, obs in enumerate(observed)) / len(observed)
+
+
+def with_fibers(table, ids):
+    """The table with its fiber partition replaced by the groups of ids."""
+    ids = np.asarray(ids)
+    first = np.array([np.flatnonzero(ids == i)[0] for i in range(ids.max() + 1)])
+    return dataclasses.replace(
+        table, fiber_groups=Groups(ids=ids, first=first, sizes=np.bincount(ids)))
+
+
+class TestSectionDecoder:
+    """section_success reads observation rows, not fiber ids, so it scores
+    a wrong section or a wrong partition below the optimum."""
+
+    @given(instances(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dict_decoder(self, instance, data):
+        table = build_observation(*instance)
+        observed = observations(table)
+        fibers, _ = table_views(table)
+        chosen = [data.draw(st.sampled_from(vs)) for vs in fibers.values()]
+        optimum = fiber_stats(table).success
+        assert section_success(table) == ref_section_success(observed, min_id_section(table))
+        assert section_success(table) == optimum
+        assert section_success(table, np.array(chosen)) == optimum
+        arbitrary = data.draw(st.lists(st.integers(0, table.n - 1), max_size=2 * table.n))
+        assert section_success(table, np.array(arbitrary, dtype=np.intp)) == (
+            ref_section_success(observed, arbitrary))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swapped_representative_scores_below_optimum(self, seed):
+        g, anchors, codes = random_instance(seed)
+        table = build_observation(g, anchors, codes)
+        fibers = table.fiber_groups
+        assert len(fibers) >= 2
+        big = int(np.argmax(fibers.sizes))
+        other = (big + 1) % len(fibers)
+        for stranger in np.flatnonzero(fibers.ids == big):
+            section = min_id_section(table)
+            section[other] = stranger
+            assert section_success(table, section) == (len(fibers) - 1) / g.n
+            assert section_success(table, section) < fiber_stats(table).success
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wrong_partition_is_caught(self, seed):
+        # Coarse codes, so some fiber has two members to split.
+        g, anchors, codes = random_instance(seed, m=1, eta=2.0)
+        table = build_observation(g, anchors, codes)
+        ids, image = table.fiber_groups.ids, len(table.fiber_groups)
+        optimum = fiber_stats(table).success
+        # Two distinct observations merged into one fiber.
+        merged = with_fibers(table, np.where(ids > 0, ids - 1, 0))
+        assert section_success(merged) == (image - 1) / g.n < optimum
+        # One fiber split in two: the claimed optimum rises, the decoder's rate
+        # cannot.
+        big = int(np.argmax(table.fiber_groups.sizes))
+        split = ids.copy()
+        split[np.flatnonzero(ids == big)[-1]] = image
+        split = with_fibers(table, split)
+        assert fiber_stats(split).success == (image + 1) / g.n
+        assert section_success(split) == optimum
+
+    @pytest.mark.parametrize("k,m", [(0, 0), (0, 2), (2, 0)])
+    def test_one_observation_scores_one_vertex(self, k, m):
+        g = random_regular(12, 3, 2)
+        anchors = AnchorSet(tuple(range(k)))
+        codes = codes_from_rows([[0] * m for _ in range(g.n)] if m else [()] * g.n)
+        table = build_observation(g, anchors, codes)
+        if k or m:
+            # Equal but non-empty rows: the vertex lookup runs.
+            table = dataclasses.replace(
+                table, profile_matrix=np.zeros((g.n, k), dtype=np.int64))
+        assert section_success(table) == 1 / g.n
+        assert section_success(table, np.array([5, 3])) == 1 / g.n
+        assert section_success(table, np.zeros(0, dtype=np.intp)) == 0.0
 
 
 class TestLargestBucketsListing:
@@ -596,9 +683,6 @@ class TestGroupingKernel:
         assert groups.first.tolist() == first
         assert groups.sizes.tolist() == sizes
         assert len(groups) == len(sizes)
-        assert groups.members() == [
-            tuple(v for v in range(len(ids)) if ids[v] == i) for i in range(len(sizes))
-        ]
 
     # Thousands of rows in few groups: long runs of tied keys, whose order an
     # unstable sort is free to change.

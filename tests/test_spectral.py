@@ -97,8 +97,8 @@ class TestNormalizedLaplacian:
         g = cycle_graph(6)
         lap = normalized_laplacian(g).toarray()
         adj = np.zeros((6, 6))
-        for u, nbrs in enumerate(g.adjacency):
-            adj[u, list(nbrs)] = 1.0
+        for u, v in g.edges():
+            adj[u, v] = adj[v, u] = 1.0
         assert np.allclose(lap, np.eye(6) - adj / 2.0)
 
     def test_symmetry(self):
@@ -284,6 +284,24 @@ class TestLowFrequencyBasis:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(EigenSolverError, match="did not converge"):
             low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
+
+    def test_arpack_error_becomes_solver_error(self, monkeypatch):
+        def no_shifts(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(3)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_shifts)
+        with pytest.raises(EigenSolverError, match="ARPACK error 3"):
+            low_frequency_basis(normalized_laplacian(random_regular(600, 3, 1)), 2)
+
+    @pytest.mark.skipif(not spectral._EIGSH_TAKES_RNG, reason="eigsh draws its own restarts")
+    @pytest.mark.parametrize("name", ["complete450", "star450", "barbell2x250"])
+    def test_breakdown_restarts_are_seeded(self, name):
+        # The Krylov space of these breaks down, so ARPACK restarts from
+        # random vectors; each call must draw the same ones.
+        lap = normalized_laplacian(PARITY_GRAPHS[name]())
+        first, again = low_frequency_basis(lap, 5), low_frequency_basis(lap, 5)
+        assert first.vectors.tobytes() == again.vectors.tobytes()
+        assert first.eigenvalues.tobytes() == again.eigenvalues.tobytes()
 
     def test_residual_contract_enforced(self, monkeypatch):
         # Eigenvalues are Rayleigh quotients of the returned vectors, so the
@@ -479,13 +497,17 @@ def barbell_graph(clique: int):
 
 def shifted_reference(lap, m):
     """The Lanczos solve the Chebyshev filter replaced: ARPACK on 2I - L
-    from the seeded start at tol=0, for the bottom m+2 pairs, signs
-    canonicalized as the library does. Returns the m+2 eigenvalues, the
-    retained m+1 vectors and the degeneracy flag."""
+    from the seeded start at tol=0, with restarts drawn from the same seeded
+    generator, for the bottom m+2 pairs, signs canonicalized as the library
+    does. Returns the m+2 eigenvalues, the retained m+1 vectors and the
+    degeneracy flag."""
     n = lap.shape[0]
     shifted = 2.0 * sp.identity(n, format="csr") - sp.csr_matrix(lap)
-    start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, n)
-    top, vecs = scipy.sparse.linalg.eigsh(shifted, k=m + 2, which="LA", v0=start, tol=0)
+    rng = np.random.default_rng(_START_SEED)
+    start = rng.uniform(-1.0, 1.0, n)
+    restarts = {"rng": rng} if spectral._EIGSH_TAKES_RNG else {}
+    top, vecs = scipy.sparse.linalg.eigsh(
+        shifted, k=m + 2, which="LA", v0=start, tol=0, **restarts)
     vals = 2.0 - top
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

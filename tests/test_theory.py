@@ -25,7 +25,7 @@ from obsmap.theory import (
     subcritical_check,
 )
 
-from conftest import path_graph, random_connected_graph, star_graph
+from conftest import path_graph, random_connected_graph, star_graph, table_views
 
 
 def codes_from_rows(rows) -> QuantizedCodes:
@@ -163,7 +163,7 @@ class TestRefinedBound:
         g = path_graph(3)
         codes = codes_from_rows([[1], [1], [2]])
         table = build_observation(g, AnchorSet(()), codes)
-        assert len(table.buckets) == 1
+        assert len(table_views(table)[1]) == 1
         report = bound_report(table, codes)
         assert report.refined_bound == pytest.approx(5.0)
         assert report.image_size == 2
