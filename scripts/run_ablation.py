@@ -13,20 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from obsmap.harness import SweepConfig, run_sweep
+from obsmap.harness import STRATEGIES, SweepConfig, run_sweep
 from obsmap.observation import sequential_sum
 
-FEATURES = ("nope", "spectral", "distance", "full")
-STRATEGIES = ("random", "degree", "farthest")
-
-
-def mean_error(n_list, trials, seed, jobs, feature, strategy):
-    cfg = SweepConfig(
-        n_list=n_list, k_list=(4,), m_list=(2,), eta_list=("0.5",),
-        feature=feature, anchor_strategy=strategy, trials=trials, seed=seed)
-    result = run_sweep(cfg, jobs=jobs)
-    errors = [rec.error for rec in result.records if rec.failure is None]
-    return sequential_sum(errors) / len(errors)
+FEATURES = ("nope", "spectral", "distance", "full")  # in printed order
 
 
 def main() -> int:
@@ -40,16 +30,23 @@ def main() -> int:
     n_list = (500, 1000, 2000) if args.full else (500, 1000)
     trials = 20 if args.full else 5
     print(f"n in {n_list}, {trials} trials, k=4 m=2 eta=0.5", file=sys.stderr)
+    # One sweep over every feature and strategy solves each graph once.
+    cfg = SweepConfig(
+        n_list=n_list, k_list=(4,), m_list=(2,), eta_list=("0.5",), trials=trials,
+        feature_list=FEATURES, anchor_strategy_list=STRATEGIES, seed=args.seed)
+    records = run_sweep(cfg, jobs=args.jobs).records
+
+    def mean_error(feature: str, strategy: str) -> float:
+        errors = [rec.error for rec in records if rec.failure is None
+                  and (rec.feature, rec.anchor_strategy) == (feature, strategy)]
+        return sequential_sum(errors) / len(errors)
 
     print("feature ablation (mean error, lower is better):")
     for feature in FEATURES:
-        err = mean_error(n_list, trials, args.seed, args.jobs, feature, "random")
-        print(f"  {feature:>9} {err:.4f}")
-
+        print(f"  {feature:>9} {mean_error(feature, 'random'):.4f}")
     print("anchor strategies (combined features):")
     for strategy in STRATEGIES:
-        err = mean_error(n_list, trials, args.seed, args.jobs, "full", strategy)
-        print(f"  {strategy:>9} {err:.4f}")
+        print(f"  {strategy:>9} {mean_error('full', strategy):.4f}")
     return 0
 
 

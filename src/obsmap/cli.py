@@ -225,12 +225,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    # Each sweep flag's dest is the SweepConfig field it sets.
-    flags = {}
-    for field in dataclasses.fields(SweepConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            flags[field.name] = _parse_bool(value) if field.name == "scaled" else value
+    # Each sweep flag's dest is the SweepConfig field it sets; SweepConfig
+    # reads each axis value as its CSV cell, so --scaled takes true/false.
+    fields = (f.name for f in dataclasses.fields(SweepConfig))
+    flags = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     cfg = _sweep_config(text, flags)
     print(f"sweep: {sum(1 for _ in cfg.points())} trial rows", file=sys.stderr)
 
@@ -308,11 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", dest="eta_list", action="append", help="grid eta (repeatable, decimal strings)")
     p.add_argument("--trials", type=int, help="graphs per grid cell")
     p.add_argument("--resamples", dest="anchor_resamples", type=int, help="anchor draws per graph")
-    p.add_argument("--r", type=int, help="regular degree")
-    p.add_argument("--quantizer", choices=QUANTIZERS)
-    p.add_argument("--scaled", metavar="BOOL", help="true/false")
-    p.add_argument("--feature", choices=FEATURES)
-    p.add_argument("--strategy", dest="anchor_strategy", choices=STRATEGIES)
+    p.add_argument("--r", dest="r_list", action="append", type=int, help="regular degree (repeatable)")
+    p.add_argument("--quantizer", dest="quantizer_list", action="append", choices=QUANTIZERS,
+                   help="quantization rule (repeatable)")
+    p.add_argument("--scaled", dest="scaled_list", action="append", metavar="BOOL",
+                   help="true/false (repeatable)")
+    p.add_argument("--feature", dest="feature_list", action="append", choices=FEATURES,
+                   help="observation components (repeatable)")
+    p.add_argument("--strategy", dest="anchor_strategy_list", action="append", choices=STRATEGIES,
+                   help="anchor selection strategy (repeatable)")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
     p.add_argument("--timings", action="store_true", help="put wall times in the CSV")

@@ -14,12 +14,13 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,17 +164,6 @@ _OPTION_CHECKS: dict[str, Callable[[str], str]] = {
 }
 
 
-def _check_options(
-    etas: Iterable[str], quantizer: str, feature: str, anchor_strategy: str
-) -> None:
-    """Checks shared by ConfigPoint, SweepConfig and analyze_records."""
-    for eta in etas:
-        _OPTION_CHECKS["eta"](eta)
-    _OPTION_CHECKS["quantizer"](quantizer)
-    _OPTION_CHECKS["feature"](feature)
-    _OPTION_CHECKS["anchor_strategy"](anchor_strategy)
-
-
 def _check_degree(r: int) -> None:
     """Reject a degree random_regular cannot sample: below 3 or above MAX_REGULAR_DEGREE."""
     if r < 3:
@@ -191,10 +181,9 @@ def _grid_key(source: object) -> tuple:
 class ConfigPoint:
     """One cell of a sweep grid, including its trial and resample indices.
 
-    eta is carried as its exact decimal string; use eta_float for
-    arithmetic. feature selects which observation components are active:
-    nope drops both, distance keeps anchors only, spectral keeps codes
-    only, full keeps both.
+    eta is carried as its exact decimal string. feature selects which
+    observation components are active: nope drops both, distance keeps
+    anchors only, spectral keeps codes only, full keeps both.
     """
 
     n: int
@@ -217,13 +206,10 @@ class ConfigPoint:
             raise ValueError("k must lie in [0, n]")
         if self.m < 0:
             raise ValueError("m must be non-negative")
-        _check_options((self.eta,), self.quantizer, self.feature, self.anchor_strategy)
+        for name, check in _OPTION_CHECKS.items():
+            check(getattr(self, name))
         if self.trial < 0 or self.resample < 0:
             raise ValueError("trial and resample indices must be non-negative")
-
-    @property
-    def eta_float(self) -> float:
-        return float(self.eta)
 
     def effective_dims(self) -> tuple[int, int]:
         """(active anchor count, active embedding width) under the feature."""
@@ -243,21 +229,17 @@ def _effective_dims(feature: str, k: int, m: int) -> tuple[int, int]:
     return k, m
 
 
-def _as_int_tuple(values: Iterable[int], name: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    if not out:
-        raise ValueError(f"{name} must be non-empty")
-    return out
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for run_sweep.
 
-    The grid is the product n_list x k_list x m_list x eta_list; every cell
-    runs `trials` independent graphs with `anchor_resamples` anchor draws
-    each. eta values are decimal strings and keep their exact spelling in
-    keys and CSV output.
+    The grid is the product of nine axes, one per grid field in _GRID_FIELDS
+    order: n_list x r_list x k_list x m_list x eta_list x quantizer_list x
+    scaled_list x feature_list x anchor_strategy_list. Every cell runs
+    `trials` independent graphs with `anchor_resamples` anchor draws each,
+    and all cells of one (n, r) share their graphs. Each axis value reads as
+    its CSV cell does, so eta values are decimal strings that keep their
+    exact spelling, and "false" on the scaled axis is False.
     """
 
     n_list: Sequence[int]
@@ -266,33 +248,39 @@ class SweepConfig:
     eta_list: Sequence[str]
     trials: int = 20
     anchor_resamples: int = 1
-    r: int = 3
-    quantizer: str = "absolute"
-    scaled: bool = True
-    feature: str = "full"
-    anchor_strategy: str = "random"
+    r_list: Sequence[int] = (3,)
+    quantizer_list: Sequence[str] = ("absolute",)
+    scaled_list: Sequence[bool] = (True,)
+    feature_list: Sequence[str] = ("full",)
+    anchor_strategy_list: Sequence[str] = ("random",)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", _as_int_tuple(self.n_list, "n_list"))
-        object.__setattr__(self, "k_list", _as_int_tuple(self.k_list, "k_list"))
-        object.__setattr__(self, "m_list", _as_int_tuple(self.m_list, "m_list"))
-        etas = tuple(str(e) for e in self.eta_list)
-        if not etas:
-            raise ValueError("eta_list must be non-empty")
-        object.__setattr__(self, "eta_list", etas)
-        _check_options(etas, self.quantizer, self.feature, self.anchor_strategy)
+        # An axis value decodes as its CSV column does, which puts the
+        # option axes through _OPTION_CHECKS.
+        decoders = {column: decode for column, _, decode, _ in _CSV_CODECS}
+        for name in _GRID_FIELDS:
+            field = f"{name}_list"
+            values = getattr(self, field)
+            if isinstance(values, str):
+                raise ValueError(f"{field} takes a list of values, not the string {values!r}")
+            axis = tuple(decoders[name](str(v)) for v in values)
+            if not axis:
+                raise ValueError(f"{field} must be non-empty")
+            object.__setattr__(self, field, axis)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.anchor_resamples < 1:
             raise ValueError("anchor_resamples must be at least 1")
         # Fail the whole grid early on structurally impossible cells.
-        _check_degree(self.r)
+        for r in self.r_list:
+            _check_degree(r)
         for n in self.n_list:
-            if n <= self.r:
-                raise ValueError(f"n={n} must exceed r={self.r}")
-            if (n * self.r) % 2 != 0:
-                raise ValueError(f"n*r must be even, got n={n}, r={self.r}")
+            for r in self.r_list:
+                if n <= r:
+                    raise ValueError(f"n={n} must exceed r={r}")
+                if (n * r) % 2 != 0:
+                    raise ValueError(f"n*r must be even, got n={n}, r={r}")
             for k in self.k_list:
                 if k < 0 or k > n:
                     raise ValueError(f"k={k} must lie in [0, n={n}]")
@@ -304,20 +292,15 @@ class SweepConfig:
 
     def points(self) -> Iterator[ConfigPoint]:
         """Grid cells in the deterministic output order: config
-        lexicographic (eta ordered numerically), then trial, then resample."""
-        for n in sorted(set(self.n_list)):
-            for k in sorted(set(self.k_list)):
-                for m in sorted(set(self.m_list)):
-                    for eta in sorted(set(self.eta_list), key=lambda e: (float(e), e)):
-                        for trial in range(self.trials):
-                            for resample in range(self.anchor_resamples):
-                                yield ConfigPoint(
-                                    n=n, r=self.r, k=k, m=m, eta=eta,
-                                    quantizer=self.quantizer, scaled=self.scaled,
-                                    feature=self.feature,
-                                    anchor_strategy=self.anchor_strategy,
-                                    trial=trial, resample=resample,
-                                )
+        lexicographic in _GRID_FIELDS order (eta ordered numerically), then
+        trial, then resample."""
+        axes = [
+            sorted(set(getattr(self, f"{name}_list")),
+                   key=(lambda e: (float(e), e)) if name == "eta" else None)
+            for name in _GRID_FIELDS
+        ]
+        for cell in itertools.product(*axes, range(self.trials), range(self.anchor_resamples)):
+            yield ConfigPoint(*cell)
 
 
 @dataclass(frozen=True, slots=True)
@@ -667,14 +650,15 @@ def analyze_records(
         raise ValueError("m must be non-negative")
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
-    _check_options((eta,), quantizer, "full", anchor_strategy)
-
-    if graph_codes is None:
-        graph_codes = _GraphCodes(g, m)
     identity = dict(
         n=g.n, r=r, k=k, m=m, eta=eta, quantizer=quantizer, scaled=scaled,
         feature="full", anchor_strategy=anchor_strategy, trial=0,
     )
+    for name, check in _OPTION_CHECKS.items():
+        check(identity[name])
+
+    if graph_codes is None:
+        graph_codes = _GraphCodes(g, m)
     return [_record({**identity, "resample": i}, seed, graph_codes) for i in range(resamples)]
 
 
@@ -737,13 +721,10 @@ def run_sweep(
     failing trial yields a failure record and the sweep continues.
     """
     points = list(cfg.points())
-    batches: dict[tuple[int, int], list[tuple[int, ConfigPoint]]] = defaultdict(list)
+    batches: dict[tuple[int, int, int], list[tuple[int, ConfigPoint]]] = defaultdict(list)
     for idx, point in enumerate(points):
-        batches[(point.n, point.trial)].append((idx, point))
-    batch_list = [
-        (cfg.seed, n, cfg.r, trial, indexed)
-        for (n, trial), indexed in sorted(batches.items())
-    ]
+        batches[(point.n, point.r, point.trial)].append((idx, point))
+    batch_list = [(cfg.seed, *graph, indexed) for graph, indexed in sorted(batches.items())]
     records: list[TrialRecord | None] = [None] * len(points)
     done = 0
     total = len(batch_list)
@@ -854,7 +835,10 @@ def k_emp(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> int | None:
     """Smallest tested k whose mean error is at or below the threshold: the
-    (n, m, eta) row of the sweep's kemp table; None when no tested k does."""
+    (n, m, eta) row of the sweep's kemp table; None when no tested k does.
+    Raises ValueError when the sweep holds that cell in more than one
+    setting (r, quantizer, scaled, feature, anchor_strategy); kemp_table
+    gives each setting its own row."""
     cfg = result.config
     eta_key = _match_eta(cfg, eta)
     if n not in cfg.n_list:
@@ -865,7 +849,16 @@ def k_emp(
         key: agg for key, agg in result.aggregates.items()
         if (key[0], key[3], key[4]) == (n, m, eta_key)  # n, m and eta of the grid key
     }
-    return next((row.k_emp for row in _kemp_rows(cell, threshold)), None)
+    rows = _kemp_rows(cell, threshold)
+    if len(rows) > 1:
+        settings = "; ".join(
+            f"r={row.r} quantizer={row.quantizer} scaled={row.scaled} "
+            f"feature={row.feature} strategy={row.anchor_strategy}" for row in rows
+        )
+        raise ValueError(
+            f"n={n} m={m} eta={eta_key} holds {len(rows)} settings ({settings}); "
+            "use kemp_table for one row per setting")
+    return rows[0].k_emp
 
 
 def _parse_bool(text: str) -> bool:
@@ -976,11 +969,12 @@ def read_csv_rows(path: str) -> list[TrialRecord]:
 
 
 # Config keys onto the SweepConfig fields they set: every field's own name,
-# and the short names that the sweep command's flags also use.
+# each axis's name without _list, and the short names that the sweep
+# command's flags also use.
 _SWEEP_KEYS = {
     **{f.name: f.name for f in dataclasses.fields(SweepConfig)},
-    "n": "n_list", "k": "k_list", "m": "m_list", "eta": "eta_list",
-    "resamples": "anchor_resamples", "strategy": "anchor_strategy",
+    **{f.name.removesuffix("_list"): f.name for f in dataclasses.fields(SweepConfig)},
+    "resamples": "anchor_resamples", "strategy": "anchor_strategy_list",
 }
 
 
@@ -989,9 +983,8 @@ _SWEEP_KEYS = {
 _PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
     "Sequence[int]": (lambda v: tuple(int(t) for t in _tokens(v)), "integers"),
     "Sequence[str]": (lambda v: tuple(_tokens(v)), "a list"),
+    "Sequence[bool]": (lambda v: tuple(_parse_bool(t) for t in _tokens(v)), "true or false"),
     "int": (lambda v: int(v.strip('"')), "an integer"),
-    "str": (lambda v: v.strip('"'), "text"),
-    "bool": (lambda v: _parse_bool(v.strip('"')), "true or false"),
 }
 
 

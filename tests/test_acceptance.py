@@ -351,13 +351,14 @@ class TestBucketwiseRegimes:
 
 class TestFeatureAblation:
     def test_strict_error_ordering(self):
+        cfg = SweepConfig(
+            n_list=(500, 1000), k_list=(4,), m_list=(2,), eta_list=("0.5",),
+            feature_list=("full", "distance", "spectral", "nope"), trials=5, seed=0)
+        records = run_sweep(cfg, jobs=4).records
         errors = {}
-        for feature in ("full", "distance", "spectral", "nope"):
-            cfg = SweepConfig(
-                n_list=(500, 1000), k_list=(4,), m_list=(2,),
-                eta_list=("0.5",), feature=feature, trials=5, seed=0)
-            records = run_sweep(cfg, jobs=4).records
-            errors[feature] = sum(r.error for r in records) / len(records)
+        for feature in cfg.feature_list:
+            rows = [r for r in records if r.feature == feature]
+            errors[feature] = sum(r.error for r in rows) / len(rows)
         ok = (
             errors["full"] < errors["distance"]
             < errors["spectral"] < errors["nope"]

@@ -391,7 +391,8 @@ class TestSweep:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
-    # flag, config line it overrides, flag value, CSV column, expected column values
+    # flag, config line it overrides, flag value (a tuple repeats the flag),
+    # CSV column, expected column values
     OVERRIDES = [
         ("--n", "n = [30]", "40", "n", {40}),
         ("--k", "k = [1]", "2", "k", {2}),
@@ -405,10 +406,14 @@ class TestSweep:
         ("--feature", "feature = spectral", "distance", "feature", {"distance"}),
         ("--strategy", "strategy = degree", "farthest", "anchor_strategy", {"farthest"}),
         ("--seed", "seed = 3", "5", "seed", {graph_seed_for(5, 30, 3, 0)}),
+        ("--feature", "feature = spectral", ("distance", "full"), "feature", {"distance", "full"}),
+        ("--quantizer", "quantizer = [absolute, relative]", ("relative",), "quantizer",
+         {"relative"}),
     ]
 
     @pytest.mark.parametrize(
-        "flag, line, value, column, expected", OVERRIDES, ids=[o[0] for o in OVERRIDES])
+        "flag, line, value, column, expected", OVERRIDES,
+        ids=[o[0] if isinstance(o[2], str) else f"{o[0]}={','.join(o[2])}" for o in OVERRIDES])
     def test_flag_overrides_config_key(
         self, capsys, tmp_path, flag, line, value, column, expected
     ):
@@ -417,8 +422,9 @@ class TestSweep:
         grid[line.split(" =")[0]] = line
         cfg.write_text("\n".join([*grid.values(), "trials = 1"]) + "\n")
         out = tmp_path / "sweep.csv"
+        values = (value,) if isinstance(value, str) else value
         code, _, _ = run_cli(
-            capsys, "sweep", "--config", str(cfg), flag, value,
+            capsys, "sweep", "--config", str(cfg), *(a for v in values for a in (flag, v)),
             "--jobs", "1", "--out", str(out))
         assert code == 0
         assert {getattr(row, column) for row in read_csv_rows(str(out))} == expected
@@ -478,6 +484,29 @@ class TestSweep:
             capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "config line 5: scaled needs true or false" in err
+
+    def test_bad_scaled_flag_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "30", "--k", "1", "--m", "0", "--eta", "0.5",
+            "--scaled", "true", "--scaled", "maybe", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "expected true or false, got 'maybe'" in err
+
+    def test_repeated_option_flags_make_one_grid(self, capsys, tmp_path):
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "30", "--k", "1", "--m", "1", "--eta", "0.5",
+            "--r", "3", "--r", "4", "--quantizer", "relative", "--quantizer", "absolute",
+            "--scaled", "no", "--scaled", "yes", "--strategy", "degree", "--strategy", "random",
+            "--trials", "1", "--jobs", "1", "--out", str(out))
+        assert code == 0
+        assert "sweep: 16 trial rows" in err
+        assert "progress 2/2 graph batches" in err  # one batch per (n, r, trial)
+        rows = read_csv_rows(str(out))
+        assert [(row.r, row.quantizer, row.scaled, row.anchor_strategy) for row in rows] == [
+            (r, q, s, a) for r in (3, 4) for q in ("absolute", "relative")
+            for s in (False, True) for a in ("degree", "random")
+        ]
 
     def test_threshold_flag_removed(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

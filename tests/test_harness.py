@@ -247,13 +247,14 @@ class TestSweepConfigValidation:
         # Rejected at construction, before any graph is drawn.
         monkeypatch.setattr(harness, "random_regular", None)
         with pytest.raises(ValueError, match="at most 6, got 7"):
-            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=7)
+            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(7,))
         with pytest.raises(ValueError, match="at most 6, got 7"):
             point(n=200, r=7)
         with pytest.raises(ValueError, match="at least 3"):
-            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=2)
+            SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(2,))
         assert point(n=200, r=6).r == 6
-        assert SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r=6).r == 6
+        assert SweepConfig(
+            n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(6,)).r_list == (6,)
 
     def test_m_beyond_n_rejected(self):
         with pytest.raises(ValueError):
@@ -265,17 +266,43 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("-1",))
 
+    def test_bare_string_axis_rejected(self):
+        # A string is not split into one-character values.
+        with pytest.raises(ValueError, match="feature_list takes a list of values"):
+            SweepConfig(n_list=(40,), k_list=(1,), m_list=(0,), eta_list=("0.5",),
+                        feature_list="full")
+        with pytest.raises(ValueError, match="eta_list takes a list of values"):
+            SweepConfig(n_list=(40,), k_list=(1,), m_list=(0,), eta_list="0.5")
+
+    def test_every_option_axis_checked(self):
+        base = dict(n_list=(40,), k_list=(1,), m_list=(0,), eta_list=("0.5",))
+        # A bad value anywhere on an axis rejects the grid.
+        for field, values, message in (
+            ("quantizer_list", ("absolute", "round"), "unknown quantizer 'round'"),
+            ("feature_list", ("full", "edges"), "unknown feature 'edges'"),
+            ("anchor_strategy_list", ("random", "central"), "unknown anchor strategy 'central'"),
+            ("scaled_list", (True, "maybe"), "expected true or false, got 'maybe'"),
+            ("r_list", (3, 2), "regular degree must be at least 3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SweepConfig(**base, **{field: values})
+        with pytest.raises(ValueError, match="quantizer_list must be non-empty"):
+            SweepConfig(**base, quantizer_list=())
+
     def test_points_order(self):
         cfg = SweepConfig(
             n_list=(10, 8), k_list=(2, 1), m_list=(0,),
             eta_list=("0.5", "0.125"), trials=2, anchor_resamples=2,
+            r_list=(4, 3, 4), quantizer_list=("relative", "absolute"), scaled_list=(True, False),
+            feature_list=("spectral", "nope"), anchor_strategy_list=("random", "degree"),
         )
         pts = list(cfg.points())
         keys = [
-            (p.n, p.k, p.m, float(p.eta), p.trial, p.resample) for p in pts
+            (p.n, p.r, p.k, p.m, float(p.eta), p.quantizer, p.scaled, p.feature,
+             p.anchor_strategy, p.trial, p.resample) for p in pts
         ]
         assert keys == sorted(keys)
-        assert len(pts) == 2 * 2 * 1 * 2 * 2 * 2
+        assert len(pts) == len(set(keys)) == 2 * 2 * 1 * 2 * 2 * 2 * 2 ** 5
 
 
 class TestRunSweep:
@@ -287,8 +314,12 @@ class TestRunSweep:
         base.update(overrides)
         return SweepConfig(**base)
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = self.small_config()
+    @pytest.mark.parametrize("axes", [{}, dict(
+        r_list=(3, 4), quantizer_list=QUANTIZERS, scaled_list=(True, False),
+        feature_list=("spectral", "full"), anchor_strategy_list=("degree", "farthest"),
+    )], ids=["one_setting", "multi_axis"])
+    def test_worker_count_does_not_change_output(self, tmp_path, axes):
+        cfg = self.small_config(**axes)
         serial = run_sweep(cfg, jobs=None)
         parallel = run_sweep(cfg, jobs=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -424,12 +455,32 @@ class TestOneSolvePerGraph:
         # one table per (m, eta) per graph, shared by every k and resample
         assert counts["quantize"] == 3 * 4 * 2
 
+    def test_quantizer_axis_matches_single_quantizer_sweeps(self, monkeypatch):
+        counts = dict.fromkeys(("random_regular", "low_frequency_basis"), 0)
+        for attr in counts:
+            fn = getattr(harness, attr)
+
+            def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, attr, wrapper)
+        joint = run_sweep(self.config(m_list=(1, 2), quantizer_list=QUANTIZERS))
+        # one draw and one solve per graph, shared by both quantizers
+        assert counts == {"random_regular": 3, "low_frequency_basis": 3}
+        monkeypatch.undo()
+        for quantizer in QUANTIZERS:
+            single = run_sweep(self.config(m_list=(1, 2), quantizer_list=(quantizer,)))
+            assert [strip_timing(r) for r in joint.records if r.quantizer == quantizer] == [
+                strip_timing(r) for r in single.records
+            ]
+
     def test_no_solve_without_spectral_part(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("eigensolve without a spectral feature")
 
         monkeypatch.setattr(harness, "low_frequency_basis", forbidden)
-        res = run_sweep(self.config(feature="distance"))
+        res = run_sweep(self.config(feature_list=("distance",)))
         assert all(r.failure is None for r in res.records)
 
     def test_diagnostics_and_codebook_once_per_row(self, monkeypatch):
@@ -476,7 +527,7 @@ class TestAnchorStagePerAnchorSet:
     def config(self, strategy: str) -> SweepConfig:
         return SweepConfig(
             n_list=(60,), k_list=(0, 1, 3), m_list=(0, 1, 2), eta_list=("0.1", "0.5"),
-            trials=2, anchor_resamples=3, anchor_strategy=strategy, seed=4,
+            trials=2, anchor_resamples=3, anchor_strategy_list=(strategy,), seed=4,
         )
 
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
@@ -646,21 +697,33 @@ class TestKemp:
                 means["image_frac"], means["mean_preimage"], means["codebook_size"])
 
     def test_joined_sweeps_stay_apart(self, tmp_path):
-        # Two sweeps that differ only in the quantizer, joined in one CSV.
+        # Two sweeps that differ only in the quantizer, joined in one CSV,
+        # read as the one sweep over both quantizers does.
+        grid = dict(n_list=(40,), k_list=(1, 2, 3, 6), m_list=(2,), eta_list=("0.5",),
+                    trials=4, seed=0)
         results = [
-            run_sweep(SweepConfig(
-                n_list=(40,), k_list=(1, 2, 3, 6), m_list=(2,), eta_list=("0.5",),
-                trials=4, quantizer=quantizer, seed=0,
-            ))
+            run_sweep(SweepConfig(**grid, quantizer_list=(quantizer,)))
             for quantizer in QUANTIZERS
         ]
-        path = tmp_path / "joined.csv"
-        write_records_csv([rec for res in results for rec in res.records], str(path))
-        table = kemp_table(read_csv_rows(str(path)), DEFAULT_THRESHOLD)
+        joined, one = tmp_path / "joined.csv", tmp_path / "one.csv"
+        write_records_csv([rec for res in results for rec in res.records], str(joined))
+        write_csv(run_sweep(SweepConfig(**grid, quantizer_list=QUANTIZERS)), str(one))
+        table = kemp_table(read_csv_rows(str(joined)), DEFAULT_THRESHOLD)
         assert [row.quantizer for row in table] == list(QUANTIZERS)
         got = [row.k_emp for row in table]
         assert got == [k_emp(res, 40, 2, "0.5") for res in results]
         assert got == [2, 3]
+        assert kemp_table(read_csv_rows(str(one)), DEFAULT_THRESHOLD) == table
+
+    def test_k_emp_rejects_a_cell_held_in_several_settings(self):
+        res = run_sweep(SweepConfig(
+            n_list=(40,), k_list=(1, 6), m_list=(2,), eta_list=("0.5",), trials=2,
+            quantizer_list=QUANTIZERS, seed=0,
+        ))
+        with pytest.raises(ValueError, match=(
+            r"n=40 m=2 eta=0.5 holds 2 settings \(r=3 quantizer=absolute .*; "
+            r"r=3 quantizer=relative .*\); use kemp_table")):
+            k_emp(res, 40, 2, "0.5")
 
 
 class TestKempTable:
@@ -868,10 +931,11 @@ class TestParseSweepConfig:
         assert cfg.eta_list == ("0.10", "0.5")
         assert cfg.trials == 5
         assert cfg.anchor_resamples == 2
-        assert cfg.quantizer == "relative"
-        assert cfg.scaled is False
-        assert cfg.feature == "distance"
-        assert cfg.anchor_strategy == "farthest"
+        assert cfg.r_list == (3,)
+        assert cfg.quantizer_list == ("relative",)
+        assert cfg.scaled_list == (False,)
+        assert cfg.feature_list == ("distance",)
+        assert cfg.anchor_strategy_list == ("farthest",)
         assert cfg.seed == 11
         assert len(dataclasses.fields(cfg)) == 12
         # The k_emp threshold is read at kemp time, not set by the sweep.
@@ -882,8 +946,23 @@ class TestParseSweepConfig:
         cfg = parse_sweep_config("n=16\nk=1\nm=0\neta=0.1\n")
         assert cfg.trials == 20
         assert cfg.anchor_resamples == 1
-        assert cfg.quantizer == "absolute"
-        assert cfg.scaled is True
+        assert cfg.r_list == (3,)
+        assert cfg.quantizer_list == ("absolute",)
+        assert cfg.scaled_list == (True,)
+        assert cfg.feature_list == ("full",)
+        assert cfg.anchor_strategy_list == ("random",)
+
+    def test_option_keys_take_lists(self):
+        cfg = parse_sweep_config(
+            "n=16\nk=1\nm=0\neta=0.1\nr = [3, 5]\nquantizer = [absolute, relative]\n"
+            "scaled = true, no\nfeature = [distance]\nanchor_strategy = degree, farthest\n")
+        assert cfg.r_list == (3, 5)
+        assert cfg.quantizer_list == ("absolute", "relative")
+        assert cfg.scaled_list == (True, False)
+        assert cfg.feature_list == ("distance",)
+        assert cfg.anchor_strategy_list == ("degree", "farthest")
+        with pytest.raises(ValueError, match="line 5: scaled needs true or false"):
+            parse_sweep_config("n=16\nk=1\nm=0\neta=0.1\nscaled = [true, maybe]\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
