@@ -35,13 +35,13 @@ from .harness import (
     FEATURES,
     QUANTIZERS,
     STRATEGIES,
+    ConfigPoint,
     SweepConfig,
     _aggregate,
     _GraphCodes,
     _parse_bool,
     _sweep_config,
     analyze_records,
-    anchor_seed_for,
     kemp_table,
     read_csv_rows,
     run_sweep,
@@ -184,14 +184,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args)
-    scaled = _parse_bool(args.scaled)
+    g, r = _load_graph(args)
     if args.anchors < 1:
         raise ValueError("anchor count must be at least 1")
-    aseed = anchor_seed_for(args.seed, args.anchors, args.strategy, 0)
-    report = _GraphCodes(g, args.m).report(
-        args.m, float(args.eta), args.quantizer, scaled, args.anchors, args.strategy, aseed
-    )
+    # The resample-0 row that analyze evaluates on the same flags.
+    point = ConfigPoint(g.n, r, args.anchors, args.m, args.eta, args.quantizer,
+                        _parse_bool(args.scaled), "full", args.strategy)
+    report = _GraphCodes(g, args.m).report(point, args.seed)
     diag = report.diagnostics
 
     print(f"n {diag.n}")

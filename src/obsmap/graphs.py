@@ -45,9 +45,12 @@ _STATS_CHUNK = 512
 # (p ~ 1.6e-4), but about 0.54 at r = 7 (p ~ 6e-6) and 0.99 at r = 8.
 _MAX_PAIRING_ATTEMPTS = 100_000
 
+# Small graphs accept less often (r = 6, n = 8: p = 105 * 6!^8 / 47!! ~ 6.4e-6),
+# so they get attempts up to this many shuffled stubs: about 20 / p at n = 8.
+_PAIRING_STUB_BUDGET = 150_000_000
+
 # Largest degree random_regular (and so a sweep grid) accepts. From r = 7 the
-# attempts above fail more often than not; at r = 6 they suffice for large n,
-# though below n of about 30 some seeds still exhaust them (n = 10, seed 0).
+# attempts above fail more often than not; at r = 6 they suffice at every n.
 MAX_REGULAR_DEGREE = 6
 
 
@@ -226,7 +229,8 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         raise ValueError("n * r must be even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), r)
-    for _ in range(_MAX_PAIRING_ATTEMPTS):
+    attempts = max(_MAX_PAIRING_ATTEMPTS, _PAIRING_STUB_BUDGET // (n * r))
+    for _ in range(attempts):
         rng.shuffle(stubs)
         us = stubs[0::2]
         vs = stubs[1::2]
@@ -243,7 +247,7 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
             return g
     raise RuntimeError(
         f"pairing model failed to produce a simple connected graph "
-        f"after {_MAX_PAIRING_ATTEMPTS} attempts (n={n}, r={r})"
+        f"after {attempts} attempts (n={n}, r={r})"
     )
 
 

@@ -154,7 +154,7 @@ def _choice(name: str, choices: tuple[str, ...]) -> Callable[[str], str]:
 
 
 # The rule each option field's value meets wherever it comes from: a
-# ConfigPoint, a SweepConfig, analyze_records or a CSV cell. Each check
+# ConfigPoint (every sweep cell and analyze row) or a CSV cell. Each check
 # returns the value it accepts and raises ValueError otherwise.
 _OPTION_CHECKS: dict[str, Callable[[str], str]] = {
     "eta": _eta,
@@ -164,14 +164,6 @@ _OPTION_CHECKS: dict[str, Callable[[str], str]] = {
 }
 
 
-def _check_degree(r: int) -> None:
-    """Reject a degree random_regular cannot sample: below 3 or above MAX_REGULAR_DEGREE."""
-    if r < 3:
-        raise ValueError("regular degree must be at least 3")
-    if r > MAX_REGULAR_DEGREE:
-        raise ValueError(f"regular degree must be at most {MAX_REGULAR_DEGREE}, got {r}")
-
-
 def _grid_key(source: object) -> tuple:
     """The _GRID_FIELDS values of source."""
     return tuple(getattr(source, f) for f in _GRID_FIELDS)
@@ -179,15 +171,17 @@ def _grid_key(source: object) -> tuple:
 
 @dataclass(frozen=True)
 class ConfigPoint:
-    """One cell of a sweep grid, including its trial and resample indices.
+    """The identity of one row: a sweep grid cell with its trial and
+    resample indices, or one anchor resample of a supplied graph.
 
-    eta is carried as its exact decimal string. feature selects which
-    observation components are active: nope drops both, distance keeps
-    anchors only, spectral keeps codes only, full keeps both.
+    r is the degree of the random regular graph the row is drawn on, None
+    for a supplied graph. eta is carried as its exact decimal string. feature selects which observation
+    components are active: nope drops both, distance keeps anchors only,
+    spectral keeps codes only, full keeps both.
     """
 
     n: int
-    r: int
+    r: int | None
     k: int
     m: int
     eta: str
@@ -199,11 +193,16 @@ class ConfigPoint:
     resample: int = 0
 
     def __post_init__(self) -> None:
-        _check_degree(self.r)
-        if self.n <= self.r:
-            raise ValueError("n must exceed the regular degree")
+        if self.r is not None:  # the degrees random_regular can sample
+            if self.r < 3:
+                raise ValueError("regular degree must be at least 3")
+            if self.r > MAX_REGULAR_DEGREE:
+                raise ValueError(
+                    f"regular degree must be at most {MAX_REGULAR_DEGREE}, got {self.r}")
+            if self.n <= self.r:
+                raise ValueError(f"n={self.n} must exceed r={self.r}")
         if self.k < 0 or self.k > self.n:
-            raise ValueError("k must lie in [0, n]")
+            raise ValueError(f"k={self.k} must lie in [0, n={self.n}]")
         if self.m < 0:
             raise ValueError("m must be non-negative")
         for name, check in _OPTION_CHECKS.items():
@@ -213,20 +212,12 @@ class ConfigPoint:
 
     def effective_dims(self) -> tuple[int, int]:
         """(active anchor count, active embedding width) under the feature."""
-        return _effective_dims(self.feature, self.k, self.m)
+        k = self.k if self.feature in ("distance", "full") else 0
+        m = self.m if self.feature in ("spectral", "full") else 0
+        return k, m
 
     def grid_key(self) -> tuple:
         return _grid_key(self)
-
-
-def _effective_dims(feature: str, k: int, m: int) -> tuple[int, int]:
-    if feature == "nope":
-        return 0, 0
-    if feature == "distance":
-        return k, 0
-    if feature == "spectral":
-        return 0, m
-    return k, m
 
 
 @dataclass(frozen=True)
@@ -272,35 +263,34 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if self.anchor_resamples < 1:
             raise ValueError("anchor_resamples must be at least 1")
-        # Fail the whole grid early on structurally impossible cells.
-        for r in self.r_list:
-            _check_degree(r)
-        for n in self.n_list:
-            for r in self.r_list:
-                if n <= r:
-                    raise ValueError(f"n={n} must exceed r={r}")
-                if (n * r) % 2 != 0:
-                    raise ValueError(f"n*r must be even, got n={n}, r={r}")
-            for k in self.k_list:
-                if k < 0 or k > n:
-                    raise ValueError(f"k={k} must lie in [0, n={n}]")
-        for m in self.m_list:
-            if m < 0:
-                raise ValueError("m values must be non-negative")
-            if m + 1 > min(self.n_list):
-                raise ValueError(f"m={m} needs more than m+1 vertices")
+        # Each distinct cell is checked once as the row it becomes; the two
+        # rules after it are no row's: n*r even, and m+1 eigenpairs in every n.
+        for cell in self._cells():
+            ConfigPoint(*cell)
+        for n, r in itertools.product(self.n_list, self.r_list):
+            if (n * r) % 2 != 0:
+                raise ValueError(f"n*r must be even, got n={n}, r={r}")
+        m_max, n_min = max(self.m_list), min(self.n_list)
+        if m_max + 1 > n_min:
+            raise ValueError(
+                f"m={m_max} needs at least {m_max + 1} vertices, but the smallest n is {n_min}")
 
-    def points(self) -> Iterator[ConfigPoint]:
-        """Grid cells in the deterministic output order: config
-        lexicographic in _GRID_FIELDS order (eta ordered numerically), then
-        trial, then resample."""
+    def _cells(self, *indices: range) -> Iterator[tuple]:
+        """The product of the axes in _GRID_FIELDS order, each sorted (eta
+        by value), then of indices."""
         axes = [
             sorted(set(getattr(self, f"{name}_list")),
                    key=(lambda e: (float(e), e)) if name == "eta" else None)
             for name in _GRID_FIELDS
         ]
-        for cell in itertools.product(*axes, range(self.trials), range(self.anchor_resamples)):
-            yield ConfigPoint(*cell)
+        return itertools.product(*axes, *indices)
+
+    def points(self) -> Iterator[ConfigPoint]:
+        """Grid cells in the deterministic output order: config
+        lexicographic in _GRID_FIELDS order (eta ordered numerically), then
+        trial, then resample."""
+        cells = self._cells(range(self.trials), range(self.anchor_resamples))
+        return itertools.starmap(ConfigPoint, cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,15 +493,15 @@ class _GraphCodes:
             raise self._stage
         return self._stage
 
-    def report(
-        self, m: int, eta: float, quantizer: str, scaled: bool,
-        k: int, strategy: str, seed: int,
-    ) -> InstanceReport:
-        """One instance: a code table refining an anchor stage. The code
-        table comes first, so a row where both fail reports the code table's
-        failure."""
-        table = self.get(m, eta, quantizer, scaled)
-        return _report(refine_observation(self.stage(k, strategy, seed), table.codes), table)
+    def report(self, point: ConfigPoint, seed: int) -> InstanceReport:
+        """The one evaluation of a row: point's code table refining its anchor
+        stage, drawn from anchor_seed_for(seed, ...). The code table comes
+        first, so a row where both fail reports the code table's failure."""
+        k, m = point.effective_dims()
+        table = self.get(m, float(point.eta), point.quantizer, point.scaled)
+        aseed = anchor_seed_for(seed, point.k, point.anchor_strategy, point.resample)
+        stage = self.stage(k, point.anchor_strategy, aseed)
+        return _report(refine_observation(stage, table.codes), table)
 
 
 def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
@@ -527,28 +517,21 @@ def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
     )
 
 
-def evaluate_instance(
-    g: Graph, anchors: AnchorSet, codes: QuantizedCodes, degenerate: bool = False
-) -> InstanceReport:
+def evaluate_instance(g: Graph, anchors: AnchorSet, codes: QuantizedCodes) -> InstanceReport:
     """Observation table statistics, bucket diagnostics, and bounds for one
-    fully specified instance."""
-    table = _CodeTable(codes, degenerate, codebook_size(codes))
+    fully specified instance. Without the basis behind the codes it cannot
+    see near-degenerate eigenvalues, so its report's degenerate is False."""
+    table = _CodeTable(codes, False, codebook_size(codes))
     return _report(build_observation(g, anchors, codes), table)
 
 
-def _record(identity: dict, seed: int, graph_codes: _GraphCodes) -> TrialRecord:
-    """The one record builder: the row of identity (ConfigPoint's fields)
-    on graph_codes's graph. seed is the seed the record carries and the
-    base of its anchor seed. The wall time includes the anchor stage and
-    the code table when this row is the first to build them."""
+def _record(point: ConfigPoint, seed: int, graph_codes: _GraphCodes) -> TrialRecord:
+    """The one record builder: the row of point on graph_codes's graph,
+    timed. seed is the seed the record carries and the base of its anchor
+    seed. The wall time includes the anchor stage and the code table when
+    this row is the first to build them."""
     start = time.perf_counter()
-    k, strategy = identity["k"], identity["anchor_strategy"]
-    k_eff, m_eff = _effective_dims(identity["feature"], k, identity["m"])
-    aseed = anchor_seed_for(seed, k, strategy, identity["resample"])
-    report = graph_codes.report(
-        m_eff, float(identity["eta"]), identity["quantizer"], identity["scaled"],
-        k_eff, strategy, aseed,
-    )
+    report = graph_codes.report(point, seed)
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = report.stats
     base = report.diagnostics.level(2)
@@ -558,7 +541,7 @@ def _record(identity: dict, seed: int, graph_codes: _GraphCodes) -> TrialRecord:
     else:
         bounds_ok = bounds.generic_satisfied and bounds.refined_satisfied
     return TrialRecord(
-        **identity,
+        **_point_identity(point),
         seed=seed,
         error=stats.error,
         image_frac=stats.success,
@@ -605,12 +588,15 @@ def run_trial(point: ConfigPoint, master_seed: int) -> TrialRecord:
     """Execute one grid cell standalone; deterministic in (point, seed).
 
     Errors from the underlying modules propagate with the configuration
-    attached to the message.
+    attached to the message. A point without r (a supplied graph's row)
+    raises ValueError: there is no regular graph to draw.
     """
+    if point.r is None:
+        raise ValueError(f"{_point_label(point)}: run_trial needs r to draw a regular graph")
     try:
         gseed = graph_seed_for(master_seed, point.n, point.r, point.trial)
         g = random_regular(point.n, point.r, gseed)
-        return _record(_point_identity(point), gseed, _GraphCodes(g, point.effective_dims()[1]))
+        return _record(point, gseed, _GraphCodes(g, point.effective_dims()[1]))
     except Exception as exc:
         message = f"{_point_label(point)}: {exc}"
         try:
@@ -636,30 +622,24 @@ def analyze_records(
 ) -> list[TrialRecord]:
     """Evaluate one graph under repeated anchor resamples.
 
-    The spectral part is computed once (it does not depend on the anchor
-    draw); resample i draws anchors from anchor_seed_for(seed, k,
-    strategy, i). Records carry trial index 0 and the given seed. A caller
-    that also needs the basis passes its own _GraphCodes(g, m) and reads
+    Resample i is the row ConfigPoint(g.n, r, ..., feature="full",
+    trial=0, resample=i), so it draws anchors from anchor_seed_for(seed, k,
+    strategy, i). The spectral part is computed once (it does not depend
+    on the anchor draw). Records carry the given seed. A caller that also
+    needs the basis passes its own _GraphCodes(g, m) and reads
     graph_codes.basis() afterwards, so the graph is solved once.
     """
     if k < 1:
         raise ValueError("anchor count must be at least 1")
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
     if resamples < 1:
         raise ValueError("resamples must be at least 1")
-    identity = dict(
-        n=g.n, r=r, k=k, m=m, eta=eta, quantizer=quantizer, scaled=scaled,
-        feature="full", anchor_strategy=anchor_strategy, trial=0,
-    )
-    for name, check in _OPTION_CHECKS.items():
-        check(identity[name])
-
+    points = [
+        ConfigPoint(g.n, r, k, m, eta, quantizer, scaled, "full", anchor_strategy, 0, i)
+        for i in range(resamples)
+    ]
     if graph_codes is None:
         graph_codes = _GraphCodes(g, m)
-    return [_record({**identity, "resample": i}, seed, graph_codes) for i in range(resamples)]
+    return [_record(point, seed, graph_codes) for point in points]
 
 
 def _run_job(
@@ -681,7 +661,7 @@ def _run_job(
     out = []
     for idx, point in sorted(indexed_points, key=lambda item: _anchor_set_key(item[1])):
         try:
-            out.append((idx, _record(_point_identity(point), gseed, graph_codes)))
+            out.append((idx, _record(point, gseed, graph_codes)))
         except Exception as exc:
             out.append((idx, _failure_record(point, gseed, str(exc))))
     return out
@@ -839,17 +819,13 @@ def k_emp(
     Raises ValueError when the sweep holds that cell in more than one
     setting (r, quantizer, scaled, feature, anchor_strategy); kemp_table
     gives each setting its own row."""
-    cfg = result.config
-    eta_key = _match_eta(cfg, eta)
-    if n not in cfg.n_list:
-        raise ValueError(f"n={n} not in the sweep grid")
-    if m not in cfg.m_list:
-        raise ValueError(f"m={m} not in the sweep grid")
-    cell = {
-        key: agg for key, agg in result.aggregates.items()
-        if (key[0], key[3], key[4]) == (n, m, eta_key)  # n, m and eta of the grid key
-    }
-    rows = _kemp_rows(cell, threshold)
+    eta_key = _match_eta(result.config, eta)
+    rows = [
+        row for row in _kemp_rows(result.aggregates, threshold)
+        if (row.n, row.m, row.eta) == (n, m, eta_key)
+    ]
+    if not rows:
+        raise ValueError(f"n={n} m={m} eta={eta_key} is not in the sweep grid")
     if len(rows) > 1:
         settings = "; ".join(
             f"r={row.r} quantizer={row.quantizer} scaled={row.scaled} "

@@ -337,6 +337,22 @@ class TestDiagnoseBuckets:
         assert float(got["singleton_vertex_fraction"]) == pytest.approx(
             report.diagnostics.singleton_vertex_fraction, abs=1e-6)
 
+    def test_matches_analyze_resample_zero(self, capsys):
+        # Both commands evaluate the same row: ConfigPoint's resample 0.
+        flags = ("--anchors", "3", "--m", "2", "--eta", "0.5",
+                 "--strategy", "farthest", "--quantizer", "relative")
+        code, out, _ = run_cli(
+            capsys, "diagnose-buckets", "--regular", "120,3", "--seed", "4", *flags)
+        assert code == 0
+        got = out_lines(out)
+        (rec,) = analyze_records(
+            random_regular(120, 3, 4), r=3, k=3, m=2, eta="0.5", quantizer="relative",
+            anchor_strategy="farthest", seed=4)
+        assert int(got["buckets"]) == rec.profile_count
+        assert got["singleton_vertex_fraction"] == format(rec.singleton_bucket_frac, ".6g")
+        for name in ("weighted_collision", "median_code_ratio", "q90_balance"):
+            assert got[f"cutoff_2.{name}"] == format(getattr(rec, name), ".6g"), name
+
     def test_top_zero_suppresses_bucket_listing(self, capsys):
         code, out, _ = run_cli(
             capsys, "diagnose-buckets", "--regular", "64,3", "--seed", "5",

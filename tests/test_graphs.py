@@ -475,7 +475,8 @@ def reference_regular(n: int, r: int, seed: int) -> Reference:
     turned into neighbour tuples by sorting packed directed edge keys."""
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), r)
-    for _ in range(graphs._MAX_PAIRING_ATTEMPTS):
+    attempts = max(graphs._MAX_PAIRING_ATTEMPTS, graphs._PAIRING_STUB_BUDGET // (n * r))
+    for _ in range(attempts):
         rng.shuffle(stubs)
         us, vs = stubs[0::2], stubs[1::2]
         if np.any(us == vs):
@@ -491,7 +492,7 @@ def reference_regular(n: int, r: int, seed: int) -> Reference:
             return ref
     raise RuntimeError(
         f"pairing model failed to produce a simple connected graph "
-        f"after {graphs._MAX_PAIRING_ATTEMPTS} attempts (n={n}, r={r})"
+        f"after {attempts} attempts (n={n}, r={r})"
     )
 
 
@@ -602,8 +603,7 @@ class TestConstructionMatchesTupleReference:
     )
     @settings(max_examples=20, deadline=None)
     def test_random_regular(self, case):
-        # At r = 6 and small n some seeds exhaust the attempts; both sides
-        # must then fail alike.
+        # Should a draw ever exhaust the attempts, both sides must fail alike.
         n, r, seed = case
         try:
             ref = reference_regular(n, r, seed)
@@ -620,11 +620,22 @@ class TestConstructionMatchesTupleReference:
             assert_matches_reference(random_regular(n, r, seed), reference_regular(n, r, seed))
 
     def test_random_regular_exhausted_attempts(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_MAX_PAIRING_ATTEMPTS", 50)
-        with pytest.raises(RuntimeError) as ref:
+        # The stub budget, not the floor, sets the ceiling of a small graph.
+        monkeypatch.setattr(graphs, "_MAX_PAIRING_ATTEMPTS", 10)
+        monkeypatch.setattr(graphs, "_PAIRING_STUB_BUDGET", 50 * 60)
+        with pytest.raises(RuntimeError, match="after 50 attempts") as ref:
             reference_regular(10, 6, 0)
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(ref.value))}$"):
             random_regular(10, 6, 0)
+
+    @pytest.mark.parametrize("n, r, seed", [(10, 6, 0), (8, 6, 2)])
+    def test_random_regular_small_dense(self, n, r, seed):
+        # The first simple draw needs 150 819 and 286 205 attempts, more
+        # than the 100 000 that suffice for large n.
+        g = random_regular(n, r, seed)
+        assert g.degrees().tolist() == [r] * n
+        assert connected_components(g.to_sparse(), directed=False)[0] == 1
+        assert_matches_reference(g, reference_regular(n, r, seed))
 
     @given(edge_lists(0, 0), st.data())
     @settings(max_examples=150, deadline=None)

@@ -207,6 +207,12 @@ class TestRunTrial:
         rec = run_trial(point(), 0)
         assert rec.error == 1.0 - rec.image_frac
 
+    def test_supplied_graph_point_rejected(self):
+        # r=None names a supplied graph: no degree check, nothing to draw.
+        supplied = point(n=3, r=None, k=3, m=0)
+        with pytest.raises(ValueError, match="run_trial needs r"):
+            run_trial(supplied, 0)
+
 
 class TestAnalyzeRecords:
     def test_matches_run_trial_on_shared_seed_path(self):
@@ -257,7 +263,8 @@ class TestSweepConfigValidation:
             n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(6,)).r_list == (6,)
 
     def test_m_beyond_n_rejected(self):
-        with pytest.raises(ValueError):
+        message = "m=10 needs at least 11 vertices, but the smallest n is 10"
+        with pytest.raises(ValueError, match=message):
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(10,), eta_list=("0.1",))
 
     def test_bad_eta_rejected(self):
