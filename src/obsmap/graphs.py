@@ -205,6 +205,19 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _graph(n, lo, hi)
 
 
+def _check_regular(n: int, r: int) -> None:
+    """The rules of an (n, r) that random_regular samples; ValueError otherwise."""
+    if r < 3:
+        raise ValueError(f"degree must be at least 3, got r={r}")
+    if r > MAX_REGULAR_DEGREE:
+        raise ValueError(
+            f"degree {r} exceeds {MAX_REGULAR_DEGREE}: pairing draws are rarely simple")
+    if n <= r:
+        raise ValueError(f"n={n} must exceed r={r}")
+    if (n * r) % 2 != 0:
+        raise ValueError(f"n * r must be even, got n={n}, r={r}")
+
+
 def random_regular(n: int, r: int, seed: int) -> Graph:
     """Sample a connected random r-regular graph by the pairing model.
 
@@ -218,15 +231,7 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
         r: degree, from 3 to MAX_REGULAR_DEGREE.
         seed: generator seed; equal seeds give identical graphs.
     """
-    if r < 3:
-        raise ValueError("degree must be at least 3")
-    if r > MAX_REGULAR_DEGREE:
-        raise ValueError(
-            f"degree {r} exceeds {MAX_REGULAR_DEGREE}: pairing draws are rarely simple")
-    if n <= r:
-        raise ValueError("vertex count must exceed the degree")
-    if (n * r) % 2 != 0:
-        raise ValueError("n * r must be even")
+    _check_regular(n, r)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), r)
     attempts = max(_MAX_PAIRING_ATTEMPTS, _PAIRING_STUB_BUDGET // (n * r))

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_REGULAR_DEGREE, AnchorSet, Graph, anchor_profile, bfs_distances, random_regular,
+    AnchorSet, Graph, _check_regular, anchor_profile, bfs_distances, random_regular,
 )
 from .observation import (
     AnchorStage,
@@ -175,9 +175,11 @@ class ConfigPoint:
     resample indices, or one anchor resample of a supplied graph.
 
     r is the degree of the random regular graph the row is drawn on, None
-    for a supplied graph. eta is carried as its exact decimal string. feature selects which observation
-    components are active: nope drops both, distance keeps anchors only,
-    spectral keeps codes only, full keeps both.
+    for a supplied graph; a set (n, r) meets random_regular's rules
+    (graphs._check_regular). m+1 is at most n, the eigenpairs the solve
+    takes. eta is carried as its exact decimal string. feature selects
+    which observation components are active: nope drops both, distance
+    keeps anchors only, spectral keeps codes only, full keeps both.
     """
 
     n: int
@@ -193,18 +195,14 @@ class ConfigPoint:
     resample: int = 0
 
     def __post_init__(self) -> None:
-        if self.r is not None:  # the degrees random_regular can sample
-            if self.r < 3:
-                raise ValueError("regular degree must be at least 3")
-            if self.r > MAX_REGULAR_DEGREE:
-                raise ValueError(
-                    f"regular degree must be at most {MAX_REGULAR_DEGREE}, got {self.r}")
-            if self.n <= self.r:
-                raise ValueError(f"n={self.n} must exceed r={self.r}")
+        if self.r is not None:
+            _check_regular(self.n, self.r)
         if self.k < 0 or self.k > self.n:
             raise ValueError(f"k={self.k} must lie in [0, n={self.n}]")
         if self.m < 0:
             raise ValueError("m must be non-negative")
+        if self.m + 1 > self.n:  # the solve's m+1 eigenpairs
+            raise ValueError(f"m={self.m} needs at least {self.m + 1} vertices, n={self.n}")
         for name, check in _OPTION_CHECKS.items():
             check(getattr(self, name))
         if self.trial < 0 or self.resample < 0:
@@ -263,17 +261,10 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if self.anchor_resamples < 1:
             raise ValueError("anchor_resamples must be at least 1")
-        # Each distinct cell is checked once as the row it becomes; the two
-        # rules after it are no row's: n*r even, and m+1 eigenpairs in every n.
+        # The grid is valid when each distinct cell is: the first bad one
+        # raises the ConfigPoint's own message.
         for cell in self._cells():
             ConfigPoint(*cell)
-        for n, r in itertools.product(self.n_list, self.r_list):
-            if (n * r) % 2 != 0:
-                raise ValueError(f"n*r must be even, got n={n}, r={r}")
-        m_max, n_min = max(self.m_list), min(self.n_list)
-        if m_max + 1 > n_min:
-            raise ValueError(
-                f"m={m_max} needs at least {m_max + 1} vertices, but the smallest n is {n_min}")
 
     def _cells(self, *indices: range) -> Iterator[tuple]:
         """The product of the axes in _GRID_FIELDS order, each sorted (eta
@@ -385,7 +376,12 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
     then repeatedly the vertex maximizing the minimum distance to the
     chosen set, ties to the smaller id.
     """
-    _check_draw(g, k, strategy)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k > g.n:
+        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown anchor strategy {strategy!r}")
     if k == 0:
         return AnchorSet(())
     if strategy == "degree":
@@ -394,15 +390,6 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
         picks = np.random.default_rng(seed).choice(g.n, size=k, replace=False)
         return AnchorSet(tuple(int(v) for v in picks))
     return _farthest(g, k, seed)[0]
-
-
-def _check_draw(g: Graph, k: int, strategy: str) -> None:
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds the vertex count {g.n}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown anchor strategy {strategy!r}")
 
 
 def _farthest(g: Graph, k: int, seed: int) -> tuple[AnchorSet, np.ndarray]:
@@ -481,8 +468,8 @@ class _GraphCodes:
                 if k == 0:
                     profile = anchor_profile(self.g, AnchorSet(()))
                 elif strategy == "farthest":
-                    # The searches that chose the anchors are the profile.
-                    _check_draw(self.g, k, strategy)
+                    # The searches that chose the anchors are the profile;
+                    # k and strategy come from an already checked ConfigPoint.
                     profile = _farthest(self.g, k, seed)[1]
                 else:
                     profile = anchor_profile(self.g, select_anchors(self.g, k, strategy, seed))

@@ -37,7 +37,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .graphs import Graph
+from .graphs import ConnectivityError, Graph
 from .observation import Groups, _group_rows
 
 __all__ = [
@@ -213,13 +213,13 @@ class QuantizedCodes:
 def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     """I - D^(-1/2) A D^(-1/2) as symmetric CSR.
 
-    Raises ValueError if the graph has an isolated vertex (the scaling is
-    undefined there).
+    Raises ConnectivityError if the graph has an isolated vertex (the
+    scaling is undefined there), as a search that cannot reach it does.
     """
     degs = g.degrees()
     if np.any(degs == 0):
         isolated = int(np.flatnonzero(degs == 0)[0])
-        raise ValueError(f"vertex {isolated} is isolated")
+        raise ConnectivityError(f"vertex {isolated} is isolated")
     scale = sp.diags(1.0 / np.sqrt(degs.astype(np.float64)))
     return sp.csr_matrix(sp.identity(g.n, format="csr") - scale @ g.to_sparse() @ scale)
 
@@ -475,12 +475,7 @@ def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
 
-    return SpectralBasis(
-        eigenvalues=_readonly(vals[: m + 1].copy()),
-        vectors=_readonly(vecs[:, : m + 1].copy()),
-        degeneracy_flag=_degenerate(vals),
-        next_eigenvalue=float(vals[m + 1]) if vals.size > m + 1 else None,
-    )
+    return SpectralBasis(_readonly(vals), _readonly(vecs), _degenerate(vals)).leading(m)
 
 
 def energy_embedding(basis: SpectralBasis, m: int, scaled: bool) -> EnergyEmbedding:

@@ -308,6 +308,19 @@ class TestAnalyze:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "diagnose-buckets"])
+@pytest.mark.parametrize("m", ["0", "2"])
+def test_isolated_vertex_file_exits_1(capsys, tmp_path, command, m):
+    # Two triangles joined by an edge, and a token seen only on a self-loop:
+    # vertex 6 is isolated, so the anchor search or the Laplacian fails.
+    path = tmp_path / "isolated.edges"
+    path.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 3\n6 6\n")
+    code, _, err = run_cli(
+        capsys, command, "--graph", str(path), "--anchors", "2", "--m", m, "--eta", "0.5")
+    assert code == 1
+    assert "vertex 6" in err
+
+
 class TestDiagnoseBuckets:
     def test_output_structure(self, capsys):
         code, out, _ = run_cli(

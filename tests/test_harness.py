@@ -4,6 +4,7 @@ and the anchor-threshold table."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obsmap.harness as harness
+from obsmap import graphs
 from obsmap.graphs import random_regular
 from obsmap.harness import (
     CSV_COLUMNS,
@@ -198,10 +200,13 @@ class TestRunTrial:
         rec = run_trial(point(trial=3), 9)
         assert rec.seed == graph_seed_for(9, 64, 3, 3)
 
-    def test_error_carries_configuration(self):
-        bad = point(n=65)  # 65*3 odd: the pairing model cannot realize it
-        with pytest.raises(ValueError, match="n=65"):
-            run_trial(bad, 0)
+    def test_error_carries_configuration(self, monkeypatch):
+        def refuse(n, r, seed):
+            raise ValueError("no draw")
+
+        monkeypatch.setattr(harness, "random_regular", refuse)
+        with pytest.raises(ValueError, match="^n=64 r=3 k=2 m=1 .* resample=0: no draw$"):
+            run_trial(point(), 0)
 
     def test_identity_error_image_frac(self):
         rec = run_trial(point(), 0)
@@ -242,8 +247,24 @@ class TestAnalyzeRecords:
 
 class TestSweepConfigValidation:
     def test_odd_product_rejected(self):
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError, match=r"^n \* r must be even, got n=65, r=3$"):
             SweepConfig(n_list=(65,), k_list=(1,), m_list=(0,), eta_list=("0.1",))
+
+    def test_regular_rules_are_the_samplers(self, monkeypatch):
+        # One draw per call: a valid (n, r) returns or runs out of attempts.
+        monkeypatch.setattr(graphs, "_MAX_PAIRING_ATTEMPTS", 1)
+        monkeypatch.setattr(graphs, "_PAIRING_STUB_BUDGET", 0)
+        for n in range(21):
+            for r in range(9):
+                try:
+                    random_regular(n, r, 0)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        point(n=n, r=r, k=0, m=0)
+                    continue
+                except RuntimeError:  # out of attempts, which a valid (n, r) may be
+                    pass
+                point(n=n, r=r, k=0, m=0)
 
     def test_k_beyond_n_rejected(self):
         with pytest.raises(ValueError):
@@ -252,18 +273,18 @@ class TestSweepConfigValidation:
     def test_degree_outside_sampler_range_rejected(self, monkeypatch):
         # Rejected at construction, before any graph is drawn.
         monkeypatch.setattr(harness, "random_regular", None)
-        with pytest.raises(ValueError, match="at most 6, got 7"):
+        with pytest.raises(ValueError, match="degree 7 exceeds 6: pairing draws are rarely simple"):
             SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(7,))
-        with pytest.raises(ValueError, match="at most 6, got 7"):
+        with pytest.raises(ValueError, match="degree 7 exceeds 6: pairing draws are rarely simple"):
             point(n=200, r=7)
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(ValueError, match="degree must be at least 3, got r=2"):
             SweepConfig(n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(2,))
         assert point(n=200, r=6).r == 6
         assert SweepConfig(
             n_list=(200,), k_list=(1,), m_list=(0,), eta_list=("0.1",), r_list=(6,)).r_list == (6,)
 
     def test_m_beyond_n_rejected(self):
-        message = "m=10 needs at least 11 vertices, but the smallest n is 10"
+        message = "m=10 needs at least 11 vertices, n=10"
         with pytest.raises(ValueError, match=message):
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(10,), eta_list=("0.1",))
 
@@ -289,12 +310,26 @@ class TestSweepConfigValidation:
             ("feature_list", ("full", "edges"), "unknown feature 'edges'"),
             ("anchor_strategy_list", ("random", "central"), "unknown anchor strategy 'central'"),
             ("scaled_list", (True, "maybe"), "expected true or false, got 'maybe'"),
-            ("r_list", (3, 2), "regular degree must be at least 3"),
+            ("r_list", (3, 2), "degree must be at least 3, got r=2"),
         ):
             with pytest.raises(ValueError, match=message):
                 SweepConfig(**base, **{field: values})
         with pytest.raises(ValueError, match="quantizer_list must be non-empty"):
             SweepConfig(**base, quantizer_list=())
+
+    @pytest.mark.parametrize("axes, bad_cell", [
+        (dict(n_list=(200,), r_list=(3, 7)), dict(n=200, r=7)),
+        (dict(n_list=(64, 65, 67), r_list=(3,)), dict(n=65, r=3)),
+        (dict(n_list=(40, 10), m_list=(0, 10)), dict(n=10, m=10)),
+    ])
+    def test_first_bad_cell_message(self, axes, bad_cell):
+        # The grid check is the ConfigPoint check of each distinct cell, so
+        # the grid fails with the message of its first bad cell in grid order.
+        with pytest.raises(ValueError) as cell_error:
+            point(**{"k": 1, "m": 0, **bad_cell})
+        grid = {"k_list": (1,), "m_list": (0,), "eta_list": ("0.5",), **axes}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cell_error.value))}$"):
+            SweepConfig(**grid)
 
     def test_points_order(self):
         cfg = SweepConfig(

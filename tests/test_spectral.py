@@ -106,9 +106,9 @@ class TestNormalizedLaplacian:
         assert np.allclose(lap, lap.T)
 
     def test_isolated_vertex_rejected(self):
-        from obsmap.graphs import graph_from_edges
+        from obsmap.graphs import ConnectivityError, graph_from_edges
 
-        with pytest.raises(ValueError, match="isolated"):
+        with pytest.raises(ConnectivityError, match="vertex 2 is isolated"):
             normalized_laplacian(graph_from_edges(3, [(0, 1)]))
 
 
