@@ -47,10 +47,8 @@ from .observation import (
 )
 from .theory import (
     BoundReport,
-    BudgetInputs,
     bound_report,
     rho_eng,
-    subcritical_check,
 )
 from .harness import (
     ConfigPoint,
@@ -59,7 +57,6 @@ from .harness import (
     TrialRecord,
     k_emp,
     run_sweep,
-    run_trial,
     select_anchors,
     write_csv,
 )

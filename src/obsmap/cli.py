@@ -40,9 +40,9 @@ from .harness import (
     _aggregate,
     _GraphCodes,
     _parse_bool,
-    _sweep_config,
     analyze_records,
     kemp_table,
+    parse_sweep_config,
     read_csv_rows,
     run_sweep,
     write_csv,
@@ -228,7 +228,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # reads each axis value as its CSV cell, so --scaled takes true/false.
     fields = (f.name for f in dataclasses.fields(SweepConfig))
     flags = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
-    cfg = _sweep_config(text, flags)
+    cfg = parse_sweep_config(text, flags)
     print(f"sweep: {sum(1 for _ in cfg.points())} trial rows", file=sys.stderr)
 
     def progress(done: int, total: int) -> None:
@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", dest="anchor_strategy_list", action="append", choices=STRATEGIES,
                    help="anchor selection strategy (repeatable)")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker processes")
+    # The CPUs this process may run on, where the platform says which.
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--jobs", type=int, default=usable, help="worker processes (default: usable CPUs)")
     p.add_argument("--timings", action="store_true", help="put wall times in the CSV")
     p.add_argument("--out", metavar="PATH", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_sweep)

@@ -28,7 +28,6 @@ __all__ = [
     "from_edge_list",
     "serialize_edge_list",
     "write_edge_list",
-    "write_token_map",
     "largest_connected_component",
     "bfs_distances",
     "anchor_profile",
@@ -304,14 +303,6 @@ def write_edge_list(g: Graph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in serialize_edge_list(g):
             fh.write(line + "\n")
-
-
-def write_token_map(token_ids: Mapping[str, int], path: str) -> None:
-    """Write token-to-id pairs as TSV in id order."""
-    items = sorted(token_ids.items(), key=lambda kv: kv[1])
-    with open(path, "w", encoding="utf-8") as fh:
-        for token, vid in items:
-            fh.write(f"{token}\t{vid}\n")
 
 
 def largest_connected_component(g: Graph) -> Graph:

@@ -50,7 +50,7 @@ from .spectral import (
     quantize_absolute,
     quantize_relative,
 )
-from .theory import BoundReport, BudgetInputs, bound_report, rho_eng
+from .theory import BoundReport, bound_report, rho_eng
 
 __all__ = [
     "QUANTIZERS",
@@ -72,7 +72,6 @@ __all__ = [
     "select_anchors",
     "evaluate_instance",
     "analyze_records",
-    "run_trial",
     "run_sweep",
     "k_emp",
     "write_csv",
@@ -562,37 +561,6 @@ def _anchor_set_key(point: ConfigPoint) -> tuple:
     return (point.effective_dims()[0], point.k, point.anchor_strategy, point.resample)
 
 
-def _point_label(point: ConfigPoint) -> str:
-    return (
-        f"n={point.n} r={point.r} k={point.k} m={point.m} eta={point.eta} "
-        f"{point.quantizer}/{'scaled' if point.scaled else 'unscaled'} "
-        f"feature={point.feature} strategy={point.anchor_strategy} "
-        f"trial={point.trial} resample={point.resample}"
-    )
-
-
-def run_trial(point: ConfigPoint, master_seed: int) -> TrialRecord:
-    """Execute one grid cell standalone; deterministic in (point, seed).
-
-    Errors from the underlying modules propagate with the configuration
-    attached to the message. A point without r (a supplied graph's row)
-    raises ValueError: there is no regular graph to draw.
-    """
-    if point.r is None:
-        raise ValueError(f"{_point_label(point)}: run_trial needs r to draw a regular graph")
-    try:
-        gseed = graph_seed_for(master_seed, point.n, point.r, point.trial)
-        g = random_regular(point.n, point.r, gseed)
-        return _record(point, gseed, _GraphCodes(g, point.effective_dims()[1]))
-    except Exception as exc:
-        message = f"{_point_label(point)}: {exc}"
-        try:
-            wrapped = type(exc)(message)
-        except Exception:
-            wrapped = RuntimeError(message)
-        raise wrapped from exc
-
-
 def analyze_records(
     g: Graph,
     *,
@@ -774,11 +742,7 @@ def _kemp_rows(aggregates: Mapping[tuple, Aggregate], threshold: float) -> list[
         means, rho = {}, None
         if k_hit is not None:
             means = by_k[k_hit].means
-            try:  # BudgetInputs rejects n below 16
-                rho = rho_eng(BudgetInputs(
-                    n=fields["n"], k=k_hit, m=fields["m"], eta=float(fields["eta"])))
-            except ValueError:
-                pass
+            rho = rho_eng(fields["n"], k_hit, fields["m"], float(fields["eta"]))
         out.append(KempRow(
             **fields, k_emp=k_hit, rho=rho, image_frac=means.get("image_frac"),
             mean_preimage=means.get("mean_preimage"), codebook=means.get("codebook_size"),
@@ -971,9 +935,14 @@ def _tokens(value: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _sweep_config(text: str, flags: Mapping[str, object]) -> SweepConfig:
-    """The SweepConfig of a key = value config text, where flags, keyed by
-    field name, override the fields the text sets."""
+def parse_sweep_config(text: str, flags: Mapping[str, object] | None = None) -> SweepConfig:
+    """The SweepConfig of the key = value sweep grid format, where flags,
+    keyed by field name, override the fields the text sets.
+
+    One `key = value` per line; `#` starts a comment; list values are
+    bracketed or bare comma lists. eta values keep their exact decimal
+    spelling. Unknown keys are rejected.
+    """
     types = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -995,19 +964,10 @@ def _sweep_config(text: str, flags: Mapping[str, object]) -> SweepConfig:
             fields[field] = parse(value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {key} needs {needs}") from exc
-    fields.update(flags)
+    fields.update(flags or {})
     for field in ("n_list", "k_list", "m_list", "eta_list"):
         if field not in fields:
             key = field.removesuffix("_list")
             raise ValueError(f"{field} missing: pass --{key} or set {key} in --config")
     return SweepConfig(**fields)  # type: ignore[arg-type]
 
-
-def parse_sweep_config(text: str) -> SweepConfig:
-    """Parse the key=value sweep grid format.
-
-    One `key = value` per line; `#` starts a comment; list values are
-    bracketed or bare comma lists. eta values keep their exact decimal
-    spelling. Unknown keys are rejected.
-    """
-    return _sweep_config(text, {})

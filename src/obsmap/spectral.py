@@ -58,9 +58,9 @@ __all__ = [
     "write_embedding_tsv",
 ]
 
-# Adjacent retained eigenvalues closer than this (relative to their size)
-# mark a numerically degenerate eigenspace: energy signatures inside it are
-# basis-dependent, so downstream results carry a flag instead of a guess.
+# Adjacent retained eigenvalues closer than this times max(1, |lambda|), an
+# absolute gap for every lambda below 1, mark a degenerate eigenspace: energy
+# signatures inside it are basis-dependent, so results carry a flag instead.
 DEGENERACY_TOL = 1e-9
 
 # Post-hoc residual ceiling for every retained eigenpair, ||L v - lam v||_2.
@@ -226,7 +226,7 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
 
 def _degenerate(vals: np.ndarray) -> bool:
     """Whether adjacent nontrivial eigenvalues among vals[1:] lie within
-    DEGENERACY_TOL, relative to their size."""
+    DEGENERACY_TOL * max(1, |lambda|): an absolute gap for lambda below 1."""
     nontrivial = vals[1:]
     gaps = np.diff(nontrivial)
     scale = np.maximum(1.0, np.abs(nontrivial[1:]))
@@ -440,9 +440,9 @@ def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
     more than retained (when n allows) so the flag sees the boundary gap.
     Every solved eigenpair is residual-checked against the operator; column
     signs are canonicalized (first entry above 1e-12 in absolute value is
-    made positive); relative gaps below DEGENERACY_TOL set the flag. The
-    Lanczos start and restart vectors are seeded, so repeated calls give
-    bit-identical results.
+    made positive); gaps below DEGENERACY_TOL * max(1, |lambda|), so absolute
+    for every lambda below 1, set the flag. The Lanczos start and restart
+    vectors are seeded, so repeated calls give bit-identical results.
 
     Args:
         op: symmetric operator with spectrum in [0, 2], typically a

@@ -16,41 +16,12 @@ from .observation import BucketDiagnostics, ObservationTable, bucket_diagnostics
 from .spectral import QuantizedCodes, codebook_size
 
 __all__ = [
-    "BudgetInputs",
     "BoundReport",
     "rho_eng",
     "bound_report",
-    "subcritical_check",
 ]
 
 _MIN_N = 16
-
-
-@dataclass(frozen=True)
-class BudgetInputs:
-    """Inputs of the engineering budget ratio.
-
-    The defaults C_ent=2, c_ent=1 give the ratio
-    (k ln ln n + m ln(2/eta)) / ln n. Natural logarithms throughout;
-    n must be at least 16 so ln ln n is safely positive.
-    """
-
-    n: int
-    k: int
-    m: int
-    eta: float
-    c_ent: float = 1.0
-    C_ent: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.n < _MIN_N:
-            raise ValueError(f"n must be at least {_MIN_N}")
-        if self.k < 0 or self.m < 0:
-            raise ValueError("k and m must be non-negative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.c_ent <= 0 or self.C_ent <= 0:
-            raise ValueError("entropy constants must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,15 +44,19 @@ class BoundReport:
     refined_bound: float | None
     refined_satisfied: bool | None
 
-    @property
-    def refined_applicable(self) -> bool:
-        return self.refined_bound is not None
 
-
-def rho_eng(b: BudgetInputs) -> float:
-    """Budget ratio (k ln ln n + c_ent m ln(C_ent/eta)) / ln n."""
-    log_n = math.log(b.n)
-    return (b.k * math.log(log_n) + b.c_ent * b.m * math.log(b.C_ent / b.eta)) / log_n
+def rho_eng(n: int, k: int, m: int, eta: float) -> float | None:
+    """Budget ratio (k ln ln n + m ln(2/eta)) / ln n, natural logarithms
+    throughout; None below n = 16, where ln ln n is not safely positive.
+    Raises ValueError for negative k or m and for eta <= 0."""
+    if k < 0 or m < 0:
+        raise ValueError("k and m must be non-negative")
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if n < _MIN_N:
+        return None
+    log_n = math.log(n)
+    return (k * math.log(log_n) + m * math.log(2.0 / eta)) / log_n
 
 
 def _refined_parts(diag: BucketDiagnostics) -> tuple[float, float] | None:
@@ -133,13 +108,3 @@ def bound_report(
         refined_satisfied=refined_ok,
     )
 
-
-def subcritical_check(b: BudgetInputs, epsilon0: float) -> bool:
-    """Whether the budget sits below the crossover: rho_eng <= 1 - epsilon0.
-
-    Closed inequality; the boundary counts as subcritical. Advisory only,
-    the underlying statement is asymptotic.
-    """
-    if not (0.0 < epsilon0 < 1.0):
-        raise ValueError("epsilon0 must lie strictly between 0 and 1")
-    return rho_eng(b) <= 1.0 - epsilon0

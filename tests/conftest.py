@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from obsmap.graphs import Graph, graph_from_edges
+from obsmap.harness import ConfigPoint, SweepConfig, TrialRecord, run_sweep
 
 
 def path_graph(n: int) -> Graph:
@@ -21,6 +22,22 @@ def star_graph(leaves: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def one_point_record(point: ConfigPoint, seed: int) -> TrialRecord:
+    """The sweep record of one regular-graph point under master seed: the
+    point's grid cell run up to its trial and resample, whose last record it
+    is. A failed record fails the calling test."""
+    cfg = SweepConfig(
+        n_list=(point.n,), k_list=(point.k,), m_list=(point.m,), eta_list=(point.eta,),
+        trials=point.trial + 1, anchor_resamples=point.resample + 1, r_list=(point.r,),
+        quantizer_list=(point.quantizer,), scaled_list=(point.scaled,),
+        feature_list=(point.feature,), anchor_strategy_list=(point.anchor_strategy,),
+        seed=seed,
+    )
+    rec = run_sweep(cfg).records[-1]
+    assert rec.failure is None, rec.failure
+    return rec
 
 
 def random_connected_graph(seed: int, n_min: int = 4, n_max: int = 30) -> Graph:

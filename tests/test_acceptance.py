@@ -47,7 +47,7 @@ from obsmap.spectral import (
     quantize_absolute,
     quantize_relative,
 )
-from obsmap.theory import BudgetInputs, rho_eng
+from obsmap.theory import rho_eng
 
 from conftest import (
     cycle_graph,
@@ -155,12 +155,12 @@ class TestBudgetRatioTable:
             (4000, 1, 5, 0.1, 2.061),
         )
         for n, k, m, eta, want in spots:
-            got = rho_eng(BudgetInputs(n=n, k=k, m=m, eta=eta))
+            got = rho_eng(n, k, m, eta)
             assert abs(got - want) < 5e-4
         worst = 0.0
         for (n, m), ks in GOLDEN_KEMP.items():
             for eta_text, k, want in zip(ETA_GRID, ks, GOLDEN_RHO[(n, m)]):
-                got = rho_eng(BudgetInputs(n=n, k=k, m=m, eta=float(eta_text)))
+                got = rho_eng(n, k, m, float(eta_text))
                 worst = max(worst, abs(round(got, 3) - want))
         gate(
             "budget-ratio reference table", worst <= 5e-4,

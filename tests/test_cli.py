@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from obsmap import harness, spectral
-from obsmap.cli import main
+from obsmap.cli import build_parser, main
 from obsmap.graphs import from_edge_list, random_regular, serialize_edge_list
 from obsmap.harness import (
     CSV_COLUMNS,
@@ -387,6 +387,17 @@ class TestDiagnoseBuckets:
 
 
 class TestSweep:
+    def sweep_jobs_default(self) -> int | None:
+        return build_parser().parse_args(["sweep", "--out", "x.csv"]).jobs
+
+    def test_jobs_default_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.sweep_jobs_default() == 1
+
+    def test_jobs_default_without_affinity_is_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert self.sweep_jobs_default() == os.cpu_count()
+
     def test_single_point_grid_single_row(self, capsys, tmp_path):
         out = tmp_path / "one.csv"
         code, _, err = run_cli(

@@ -28,7 +28,6 @@ from obsmap.graphs import (
     random_regular,
     serialize_edge_list,
     structural_stats,
-    write_token_map,
 )
 from obsmap.harness import graph_seed_for
 
@@ -762,9 +761,3 @@ class TestStructuralStats:
         assert chunked == whole
         assert chunked.diameter == int(upper.max())
         assert chunked.avg_shortest_path_length == float(upper.mean())
-
-
-def test_write_token_map(tmp_path):
-    path = tmp_path / "tokens.tsv"
-    write_token_map({"b": 1, "a": 0}, str(path))
-    assert path.read_text() == "a\t0\nb\t1\n"

@@ -34,13 +34,12 @@ from obsmap.harness import (
     parse_sweep_config,
     read_csv_rows,
     run_sweep,
-    run_trial,
     select_anchors,
     write_csv,
     write_records_csv,
 )
 
-from conftest import path_graph, random_connected_graph, star_graph
+from conftest import one_point_record, path_graph, random_connected_graph, star_graph
 
 
 def point(**overrides) -> ConfigPoint:
@@ -177,52 +176,40 @@ class TestSelectAnchors:
 
 
 class TestRunTrial:
+    """One trial's record, as the sweep computes it."""
+
     def test_nope_error_is_one_minus_one_over_n(self):
-        rec = run_trial(point(feature="nope"), 0)
+        rec = one_point_record(point(feature="nope"), 0)
         assert rec.error == 1.0 - 1.0 / 64.0
         assert rec.image_frac == 1.0 / 64.0
         assert rec.codebook_size == 1
         assert rec.failure is None
 
     def test_distance_feature_matches_m0(self):
-        distance = run_trial(point(feature="distance", m=5), 0)
-        m0 = run_trial(point(feature="full", m=0), 0)
+        distance = one_point_record(point(feature="distance", m=5), 0)
+        m0 = one_point_record(point(feature="full", m=0), 0)
         for field in ("error", "image_frac", "mean_preimage", "codebook_size",
                       "profile_count", "generic_bound"):
             assert getattr(distance, field) == getattr(m0, field), field
 
     def test_deterministic(self):
-        a = run_trial(point(), 7)
-        b = run_trial(point(), 7)
+        a = one_point_record(point(), 7)
+        b = one_point_record(point(), 7)
         assert strip_timing(a) == strip_timing(b)
 
     def test_seed_column_is_graph_seed(self):
-        rec = run_trial(point(trial=3), 9)
+        rec = one_point_record(point(trial=3), 9)
         assert rec.seed == graph_seed_for(9, 64, 3, 3)
 
-    def test_error_carries_configuration(self, monkeypatch):
-        def refuse(n, r, seed):
-            raise ValueError("no draw")
-
-        monkeypatch.setattr(harness, "random_regular", refuse)
-        with pytest.raises(ValueError, match="^n=64 r=3 k=2 m=1 .* resample=0: no draw$"):
-            run_trial(point(), 0)
-
     def test_identity_error_image_frac(self):
-        rec = run_trial(point(), 0)
+        rec = one_point_record(point(), 0)
         assert rec.error == 1.0 - rec.image_frac
-
-    def test_supplied_graph_point_rejected(self):
-        # r=None names a supplied graph: no degree check, nothing to draw.
-        supplied = point(n=3, r=None, k=3, m=0)
-        with pytest.raises(ValueError, match="run_trial needs r"):
-            run_trial(supplied, 0)
 
 
 class TestAnalyzeRecords:
     def test_matches_run_trial_on_shared_seed_path(self):
         p = point(n=80, k=3, m=2, eta="0.5", trial=0, resample=0)
-        via_trial = run_trial(p, 4)
+        via_trial = one_point_record(p, 4)
         gseed = graph_seed_for(4, 80, 3, 0)
         g = random_regular(80, 3, gseed)
         via_analyze = analyze_records(
@@ -475,7 +462,7 @@ class TestOneSolvePerGraph:
     def test_run_trial_matches_sliced_sweep_record(self):
         res = run_sweep(self.config())
         rec = next(r for r in res.records if r.m == 2 and r.trial == 1 and r.resample == 1)
-        alone = run_trial(point(n=500, k=rec.k, m=2, eta=rec.eta, trial=1, resample=1), 3)
+        alone = one_point_record(point(n=500, k=rec.k, m=2, eta=rec.eta, trial=1, resample=1), 3)
         assert strip_timing(alone) == strip_timing(rec)
 
     def test_one_solve_and_one_code_table_per_graph(self, monkeypatch):
@@ -793,11 +780,9 @@ class TestKempTable:
         assert entry.image_frac == pytest.approx(0.96)
         assert entry.codebook == 10.0
         assert row_setting(entry) == (3, "absolute", True, "full", "random")
-        from obsmap.theory import BudgetInputs, rho_eng
+        from obsmap.theory import rho_eng
 
-        assert entry.rho == pytest.approx(
-            rho_eng(BudgetInputs(n=500, k=4, m=0, eta=0.1))
-        )
+        assert entry.rho == pytest.approx(rho_eng(500, 4, 0, 0.1))
 
     def test_unmet_threshold_yields_none_row(self):
         rows = [self.row(500, 0, "0.1", 2, 0.5)]
@@ -848,7 +833,7 @@ class TestCsv:
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_schema_and_values(self, tmp_path):
-        rec = run_trial(point(), 0)
+        rec = one_point_record(point(), 0)
         path = tmp_path / "one.csv"
         write_records_csv([rec], str(path))
         lines = path.read_text().splitlines()
@@ -861,15 +846,15 @@ class TestCsv:
         assert float(row["error"]) == rec.error
 
     def test_timing_opt_in(self, tmp_path):
-        rec = run_trial(point(), 0)
+        rec = one_point_record(point(), 0)
         path = tmp_path / "timed.csv"
         write_records_csv([rec], str(path), include_timing=True)
         row = dict(zip(CSV_COLUMNS, path.read_text().splitlines()[1].split(",")))
         assert float(row["wall_time_ms"]) >= 0.0
 
     def test_read_back_round_trip(self, tmp_path):
-        recs = [run_trial(point(trial=t), 0) for t in range(2)]
-        recs.append(run_trial(point(k=8), 0))  # every bucket a singleton
+        recs = [one_point_record(point(trial=t), 0) for t in range(2)]
+        recs.append(one_point_record(point(k=8), 0))  # every bucket a singleton
         g = random_regular(40, 3, 8)
         recs.extend(analyze_records(g, r=None, k=2, m=1, eta="0.5", seed=0))
         assert recs[2].refined_bound is None and recs[3].r is None
@@ -886,7 +871,7 @@ class TestCsv:
     ])
     def test_corrupt_cell_names_line_and_column(self, tmp_path, column, cell):
         path = tmp_path / "bad.csv"
-        write_records_csv([run_trial(point(trial=t), 0) for t in range(2)], str(path))
+        write_records_csv([one_point_record(point(trial=t), 0) for t in range(2)], str(path))
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[CSV_COLUMNS.index(column)] = cell
@@ -910,7 +895,7 @@ class TestCsv:
         assert read_csv_rows(str(path)) == expected
 
     def test_numpy_scalars_write_as_python_scalars(self, tmp_path):
-        rec = run_trial(point(), 0)
+        rec = one_point_record(point(), 0)
         as_numpy = dataclasses.replace(
             rec, n=np.int64(rec.n), seed=np.uint64(rec.seed),
             codebook_size=np.int64(rec.codebook_size), error=np.float64(rec.error),
@@ -924,7 +909,7 @@ class TestCsv:
 
     def test_read_rejects_short_row(self, tmp_path):
         path = tmp_path / "short_row.csv"
-        write_records_csv([run_trial(point(), 0)], str(path))
+        write_records_csv([one_point_record(point(), 0)], str(path))
         path.write_text(path.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n")
         with pytest.raises(CsvFormatError, match="line 2: 25 cells, header has 26"):
             read_csv_rows(str(path))

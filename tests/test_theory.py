@@ -17,13 +17,7 @@ from obsmap.spectral import (
     normalized_laplacian,
     quantize_absolute,
 )
-from obsmap.theory import (
-    BoundReport,
-    BudgetInputs,
-    bound_report,
-    rho_eng,
-    subcritical_check,
-)
+from obsmap.theory import BoundReport, bound_report, rho_eng
 
 from conftest import path_graph, random_connected_graph, star_graph, table_views
 
@@ -49,67 +43,69 @@ def spectral_instance(seed: int, n: int = 40, k: int = 2, m: int = 2, eta: float
 
 class TestRhoEng:
     def test_distance_only_value(self):
-        assert rho_eng(BudgetInputs(n=500, k=6, m=0, eta=0.1)) == pytest.approx(
+        assert rho_eng(500, 6, 0, 0.1) == pytest.approx(
             1.764, abs=5e-4
         )
 
     def test_mixed_value_small_n(self):
-        assert rho_eng(BudgetInputs(n=500, k=1, m=5, eta=0.1)) == pytest.approx(
+        assert rho_eng(500, 1, 5, 0.1) == pytest.approx(
             2.704, abs=5e-4
         )
 
     def test_mixed_value_large_n(self):
-        assert rho_eng(BudgetInputs(n=4000, k=1, m=5, eta=0.1)) == pytest.approx(
+        assert rho_eng(4000, 1, 5, 0.1) == pytest.approx(
             2.061, abs=5e-4
         )
 
     def test_strictly_increasing_in_k(self):
         vals = [
-            rho_eng(BudgetInputs(n=300, k=k, m=2, eta=0.5)) for k in range(0, 8)
+            rho_eng(300, k, 2, 0.5) for k in range(0, 8)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_strictly_increasing_in_m_for_small_eta(self):
         for eta in (0.1, 0.5, 1.0, 1.9):
             vals = [
-                rho_eng(BudgetInputs(n=300, k=1, m=m, eta=eta)) for m in range(0, 8)
+                rho_eng(300, 1, m, eta) for m in range(0, 8)
             ]
             assert all(b > a for a, b in zip(vals, vals[1:])), eta
 
     def test_not_increasing_in_m_at_eta_equal_C_ent(self):
-        a = rho_eng(BudgetInputs(n=300, k=1, m=1, eta=2.0))
-        b = rho_eng(BudgetInputs(n=300, k=1, m=5, eta=2.0))
+        a = rho_eng(300, 1, 1, 2.0)
+        b = rho_eng(300, 1, 5, 2.0)
         assert a == b
 
     def test_strictly_decreasing_in_eta(self):
         vals = [
-            rho_eng(BudgetInputs(n=300, k=1, m=2, eta=eta))
+            rho_eng(300, 1, 2, eta)
             for eta in (0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_entropy_constants_enter_formula(self):
-        base = BudgetInputs(n=256, k=0, m=1, eta=1.0)
-        assert rho_eng(base) == pytest.approx(np.log(2.0) / np.log(256.0))
-        shifted = BudgetInputs(n=256, k=0, m=1, eta=1.0, c_ent=2.0, C_ent=4.0)
-        assert rho_eng(shifted) == pytest.approx(2.0 * np.log(4.0) / np.log(256.0))
+        assert rho_eng(256, 0, 1, 1.0) == pytest.approx(np.log(2.0) / np.log(256.0))
 
 
 class TestBudgetInputs:
+    """The inputs (n, k, m, eta) rho_eng accepts."""
+
     def test_n_floor(self):
-        BudgetInputs(n=16, k=1, m=1, eta=0.5)
-        with pytest.raises(ValueError):
-            BudgetInputs(n=15, k=1, m=1, eta=0.5)
+        assert rho_eng(16, 1, 1, 0.5) is not None
+        assert rho_eng(15, 1, 1, 0.5) is None
 
     def test_eta_positive(self):
         with pytest.raises(ValueError):
-            BudgetInputs(n=100, k=1, m=1, eta=0.0)
+            rho_eng(100, 1, 1, 0.0)
+        with pytest.raises(ValueError):
+            rho_eng(100, 1, 1, -0.5)
 
     def test_counts_non_negative(self):
         with pytest.raises(ValueError):
-            BudgetInputs(n=100, k=-1, m=0, eta=0.5)
+            rho_eng(100, -1, 0, 0.5)
         with pytest.raises(ValueError):
-            BudgetInputs(n=100, k=0, m=-1, eta=0.5)
+            rho_eng(100, 0, -1, 0.5)
+        with pytest.raises(ValueError):  # checked below the n floor too
+            rho_eng(15, -1, 0, 0.5)
 
 
 class TestGenericBound:
@@ -122,7 +118,7 @@ class TestGenericBound:
         # The leaf bucket {1, 2, 3} shares one code: collision 1, balance 1,
         # so the refined bound is 2 * (1 + 1/1).
         assert report.refined_bound == 4.0
-        assert report.refined_applicable
+        assert report.refined_bound is not None
         assert report.refined_satisfied
 
     def test_arithmetic(self):
@@ -208,27 +204,14 @@ class TestImpossibilityFloor:
 
 
 class TestSubcriticalCheck:
+    """The subcritical question rho_eng <= 1 - epsilon0, asked directly."""
+
     def test_subcritical(self):
-        # rho = ln(2)/ln(16) * 0 + ... choose inputs with rho well below 0.7
-        b = BudgetInputs(n=100_000, k=1, m=0, eta=0.5)
-        assert rho_eng(b) < 0.7
-        assert subcritical_check(b, 0.3)
+        rho = rho_eng(100_000, 1, 0, 0.5)
+        assert rho < 0.7
+        assert rho <= 1.0 - 0.3
 
     def test_supercritical_table_row(self):
-        b = BudgetInputs(n=500, k=6, m=0, eta=0.1)
+        rho = rho_eng(500, 6, 0, 0.1)
         for eps in (0.01, 0.3, 0.9, 0.99):
-            assert not subcritical_check(b, eps)
-
-    def test_boundary_is_closed(self):
-        b = BudgetInputs(n=500, k=1, m=0, eta=0.5)
-        rho = rho_eng(b)
-        eps = 1.0 - rho
-        assert 0.0 < eps < 1.0
-        assert subcritical_check(b, eps)
-
-    def test_epsilon_domain(self):
-        b = BudgetInputs(n=500, k=1, m=0, eta=0.5)
-        with pytest.raises(ValueError):
-            subcritical_check(b, 0.0)
-        with pytest.raises(ValueError):
-            subcritical_check(b, 1.0)
+            assert not rho <= 1.0 - eps
