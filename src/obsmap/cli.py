@@ -220,6 +220,8 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     text = ""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -406,11 +406,10 @@ def _farthest(g: Graph, k: int, seed: int) -> tuple[AnchorSet, np.ndarray]:
 
 
 class _CodeTable(NamedTuple):
-    """One quantized code table, its degeneracy flag and its codebook size."""
+    """One quantized code table and its degeneracy flag."""
 
     codes: QuantizedCodes
     degenerate: bool
-    codebook: int
 
 
 class _GraphCodes:
@@ -419,7 +418,7 @@ class _GraphCodes:
 
     Every m is cut from a single eigensolve at m_max, the largest m the
     caller needs, solved on first use, so m=0 work never pays it. Each code
-    table (m, eta, quantizer, scaled) and its codebook size are built once.
+    table (m, eta, quantizer, scaled) is built once.
     One anchor stage is held at a time: a caller evaluates the rows of one
     anchor set together, and asking for another anchor set drops it.
     """
@@ -453,7 +452,7 @@ class _GraphCodes:
                 codes = quantize_absolute(emb, eta)
             else:
                 codes = quantize_relative(emb, eta)
-            self._codes[key] = _CodeTable(codes, degenerate, codebook_size(codes))
+            self._codes[key] = _CodeTable(codes, degenerate)
         return self._codes[key]
 
     def stage(self, k: int, strategy: str, seed: int) -> AnchorStage:
@@ -491,14 +490,11 @@ class _GraphCodes:
 
 
 def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
-    diagnostics = bucket_diagnostics(obs)
     return InstanceReport(
         stats=fiber_stats(obs),
-        diagnostics=diagnostics,
-        bounds=bound_report(
-            obs, table.codes, diagnostics=diagnostics, codebook=table.codebook
-        ),
-        codebook=table.codebook,
+        diagnostics=bucket_diagnostics(obs),
+        bounds=bound_report(obs, table.codes),
+        codebook=codebook_size(table.codes),
         degenerate=table.degenerate,
     )
 
@@ -507,8 +503,7 @@ def evaluate_instance(g: Graph, anchors: AnchorSet, codes: QuantizedCodes) -> In
     """Observation table statistics, bucket diagnostics, and bounds for one
     fully specified instance. Without the basis behind the codes it cannot
     see near-degenerate eigenvalues, so its report's degenerate is False."""
-    table = _CodeTable(codes, False, codebook_size(codes))
-    return _report(build_observation(g, anchors, codes), table)
+    return _report(build_observation(g, anchors, codes), _CodeTable(codes, False))
 
 
 def _record(point: ConfigPoint, seed: int, graph_codes: _GraphCodes) -> TrialRecord:

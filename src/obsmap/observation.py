@@ -172,6 +172,37 @@ class ObservationTable:
     fiber_groups: Groups
     bucket_groups: Groups
 
+    @cached_property
+    def diagnostics(self) -> BucketDiagnostics:
+        """bucket_diagnostics of this table, computed on first read."""
+        buckets = self.bucket_groups
+        fibers = self.fiber_groups
+        # Every fiber lies in one bucket; its code classes are that bucket's.
+        fiber_bucket = buckets.ids[fibers.first]
+        code_count = np.bincount(fiber_bucket, minlength=len(buckets))
+        c = fibers.sizes
+        same = np.bincount(fiber_bucket, weights=c * (c - 1), minlength=len(buckets))
+        largest = np.zeros(len(buckets), dtype=np.int64)
+        np.maximum.at(largest, fiber_bucket, c)
+
+        # Non-singleton buckets in first-appearance order.
+        multi = np.flatnonzero(buckets.sizes > 1)
+        size = buckets.sizes[multi]
+        code_count = code_count[multi]
+        collision = same[multi] / (size * (size - 1))
+        balance = (code_count / size) * largest[multi]
+
+        return BucketDiagnostics(
+            n=self.n,
+            profile_matrix=self.profile_matrix,
+            firsts=buckets.first[multi],
+            sizes=size,
+            code_counts=code_count,
+            collisions=collision,
+            balances=balance,
+            singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / self.n,
+        )
+
 
 @dataclass(frozen=True)
 class FiberStats:
@@ -395,33 +426,8 @@ def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:
     b(b-1) over buckets of size b at or above the cutoff; the median code
     ratio is the median of (distinct codes in bucket) / (bucket size); the
     q0.9 balance is the nearest-rank 0.9 quantile of bucket balances.
-    Inapplicable aggregates are None, not zero. The per-bucket arrays are
-    computed here, each cutoff's aggregates on its first read.
+    Inapplicable aggregates are None, not zero. The table computes the
+    per-bucket arrays once, on the first call; each cutoff's aggregates
+    are computed on their first read.
     """
-    buckets = table.bucket_groups
-    fibers = table.fiber_groups
-    # Every fiber lies in one bucket; its code classes are that bucket's.
-    fiber_bucket = buckets.ids[fibers.first]
-    code_count = np.bincount(fiber_bucket, minlength=len(buckets))
-    c = fibers.sizes
-    same = np.bincount(fiber_bucket, weights=c * (c - 1), minlength=len(buckets))
-    largest = np.zeros(len(buckets), dtype=np.int64)
-    np.maximum.at(largest, fiber_bucket, c)
-
-    # Non-singleton buckets in first-appearance order.
-    multi = np.flatnonzero(buckets.sizes > 1)
-    size = buckets.sizes[multi]
-    code_count = code_count[multi]
-    collision = same[multi] / (size * (size - 1))
-    balance = (code_count / size) * largest[multi]
-
-    return BucketDiagnostics(
-        n=table.n,
-        profile_matrix=table.profile_matrix,
-        firsts=buckets.first[multi],
-        sizes=size,
-        code_counts=code_count,
-        collisions=collision,
-        balances=balance,
-        singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / table.n,
-    )
+    return table.diagnostics

@@ -65,13 +65,7 @@ def _refined_parts(diag: BucketDiagnostics) -> tuple[float, float] | None:
     return float(diag.balances.max()), float(diag.collisions.min())
 
 
-def bound_report(
-    table: ObservationTable,
-    codes: QuantizedCodes,
-    *,
-    diagnostics: BucketDiagnostics | None = None,
-    codebook: int | None = None,
-) -> BoundReport:
+def bound_report(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
     """Full bound report: generic and refined counting bounds together.
 
     The refined bound D * (1 + beta_hat / coll_hat) applies only when a
@@ -80,18 +74,11 @@ def bound_report(
     that substitution the bound is implied by the per-bucket inequality
     M(B) <= Bal(B) |B| / (1 + (|B|-1) Coll(B)), so refined_satisfied must
     always come back True when applicable.
-
-    A caller already holding bucket_diagnostics(table) or
-    codebook_size(codes) passes them in so they are not computed again.
     """
-    if diagnostics is None:
-        diagnostics = bucket_diagnostics(table)
-    if codebook is None:
-        codebook = codebook_size(codes)
     image = len(table.fiber_groups)
     profiles = len(table.bucket_groups)
-    generic = profiles * codebook
-    parts = _refined_parts(diagnostics)
+    generic = profiles * codebook_size(codes)
+    parts = _refined_parts(bucket_diagnostics(table))
     if parts is None:
         refined = None
         refined_ok = None

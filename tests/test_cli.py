@@ -584,6 +584,16 @@ class TestSweep:
             "--eta", "0.5", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2_without_output(self, capsys, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "30", "--k", "1", "--m", "0",
+            "--eta", "0.5", "--trials", "1", "--jobs", jobs, "--out", str(out))
+        assert code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in err
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, capsys, tmp_path):
         out = tmp_path / "missing_dir" / "x.csv"
         code, _, err = run_cli(

@@ -77,6 +77,25 @@ def strip_timing(rec):
     return dataclasses.replace(rec, wall_time_ms=None)
 
 
+def count_computations(monkeypatch) -> dict[str, int]:
+    """Live counts of the work behind the cached views: bucket diagnostics
+    built (BucketDiagnostics constructions) and code tables grouped
+    (spectral._group_rows, which only QuantizedCodes.groups calls)."""
+    from obsmap import observation, spectral
+
+    counts = {"diagnostics": 0, "groupings": 0}
+    for module, attr, name in ((observation, "BucketDiagnostics", "diagnostics"),
+                               (spectral, "_group_rows", "groupings")):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
 def csv_fields(rec) -> tuple:
     """The fields of a record that its CSV row carries."""
     return tuple(getattr(rec, column) for column in CSV_COLUMNS)
@@ -513,21 +532,10 @@ class TestOneSolvePerGraph:
         assert all(r.failure is None for r in res.records)
 
     def test_diagnostics_and_codebook_once_per_row(self, monkeypatch):
-        import obsmap.theory as theory
-
-        counts = {"diag": 0, "codebook": 0}
-        for module in (harness, theory):
-            for name, attr in (("diag", "bucket_diagnostics"), ("codebook", "codebook_size")):
-                fn = getattr(module, attr)
-
-                def wrapper(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, attr, wrapper)
+        counts = count_computations(monkeypatch)
         res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
         # one code table per graph: every k and resample shares its codebook
-        assert counts == {"diag": len(res.records), "codebook": 3}
+        assert counts == {"diagnostics": len(res.records), "groupings": 3}
 
     def test_bucket_aggregates_built_on_demand(self, monkeypatch, capsys):
         import obsmap.cli as cli
@@ -563,7 +571,8 @@ class TestAnchorStagePerAnchorSet:
     def test_one_stage_per_anchor_set_one_codebook_per_table(self, monkeypatch, strategy):
         import obsmap.graphs as graphs
 
-        counts = dict.fromkeys(("select_anchors", "_farthest", "anchor_profile", "codebook_size"), 0)
+        computed = count_computations(monkeypatch)
+        counts = dict.fromkeys(("select_anchors", "_farthest", "anchor_profile"), 0)
         for attr in counts:
             fn = getattr(harness, attr)
 
@@ -583,7 +592,8 @@ class TestAnchorStagePerAnchorSet:
         code_tables = {(r.trial, r.m, r.eta) for r in res.records}
         stages = len(anchor_sets) + len({(r.trial, r.resample) for r in res.records if r.k == 0})
         assert len(res.records) == 3 * 3 * 2 * 2 * 3
-        assert counts["codebook_size"] == len(code_tables) == 2 * 3 * 2
+        assert computed == {"diagnostics": len(res.records), "groupings": len(code_tables)}
+        assert len(code_tables) == 2 * 3 * 2
         if strategy == "farthest":
             # the searches that chose the anchors are the profile
             assert counts["_farthest"] == len(anchor_sets) == 2 * 2 * 3

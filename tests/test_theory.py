@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsmap.graphs import AnchorSet, random_regular
-from obsmap.observation import build_observation, fiber_stats
+from obsmap.harness import evaluate_instance
+from obsmap.observation import bucket_diagnostics, build_observation, fiber_stats
 from obsmap.spectral import (
     QuantizedCodes,
     empty_embedding,
@@ -189,6 +190,17 @@ class TestRefinedBound:
         if report.refined_bound is not None:
             assert report.refined_satisfied
             assert report.image_size <= report.refined_bound + 1e-12
+
+
+def test_bound_report_reads_the_tables_diagnostics():
+    g = random_regular(60, 3, 7)
+    anchors = AnchorSet((3, 41))
+    basis = low_frequency_basis(normalized_laplacian(g), 2)
+    codes = quantize_absolute(energy_embedding(basis, 2, scaled=True), 0.5)
+    table = build_observation(g, anchors, codes)
+    # The table computes its diagnostics once and hands out that object.
+    assert bucket_diagnostics(table) is bucket_diagnostics(table)
+    assert bound_report(table, codes) == evaluate_instance(g, anchors, codes).bounds
 
 
 class TestImpossibilityFloor:
