@@ -20,12 +20,13 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import (
-    AnchorSet, Graph, _check_regular, anchor_profile, bfs_distances, random_regular,
+    _WORD_BITS, AnchorSet, Graph, _bfs, _check_regular, anchor_profile, bfs_distances,
+    random_regular,
 )
 from .observation import (
     AnchorStage,
@@ -421,6 +422,10 @@ class _GraphCodes:
     table (m, eta, quantizer, scaled) is built once.
     One anchor stage is held at a time: a caller evaluates the rows of one
     anchor set together, and asking for another anchor set drops it.
+    A caller that plans its rows first lets the random and degree anchor
+    sets share searches: plan draws each set once, in evaluation order, and
+    the distinct anchors of consecutive sets are searched 64 at a time by
+    one _bfs call, of which one chunk's distances are held at a time.
     """
 
     def __init__(self, g: Graph, m_max: int) -> None:
@@ -430,6 +435,11 @@ class _GraphCodes:
         self._codes: dict[tuple, _CodeTable] = {}
         self._stage_key: tuple | None = None
         self._stage: AnchorStage | Exception | None = None
+        self._drawn: dict[tuple, AnchorSet | Exception] = {}
+        # The searched chunk: each of its stage keys maps to its columns of
+        # _distances, or to None when the joint search failed.
+        self._chunk: dict[tuple, np.ndarray | None] = {}
+        self._distances: np.ndarray | None = None
 
     def basis(self) -> SpectralBasis:
         """The bottom m_max+1 eigenpairs, solved on the first call."""
@@ -455,6 +465,24 @@ class _GraphCodes:
             self._codes[key] = _CodeTable(codes, degenerate)
         return self._codes[key]
 
+    def plan(self, points: Iterable[ConfigPoint], seed: int) -> None:
+        """Draw the random and degree anchor sets of the rows to come, in
+        the order they will be evaluated, so that their searches can be
+        shared."""
+        for point in points:
+            self._draw(_stage_key(point, seed))
+
+    def _draw(self, key: tuple) -> None:
+        """Draw key's anchor set once; a failed draw is kept as the set's
+        stage failure."""
+        k, strategy, seed = key
+        if k == 0 or strategy == "farthest" or key in self._drawn:
+            return
+        try:
+            self._drawn[key] = select_anchors(self.g, k, strategy, seed)
+        except Exception as exc:
+            self._drawn[key] = exc
+
     def stage(self, k: int, strategy: str, seed: int) -> AnchorStage:
         """The anchor stage of k anchors drawn by strategy from the anchor
         seed; k = 0 is the one-bucket stage. A failed build is kept like a
@@ -463,30 +491,71 @@ class _GraphCodes:
         if key != self._stage_key:
             self._stage_key, self._stage = key, None  # release the old stage before building
             try:
-                if k == 0:
-                    profile = anchor_profile(self.g, AnchorSet(()))
-                elif strategy == "farthest":
-                    # The searches that chose the anchors are the profile;
-                    # k and strategy come from an already checked ConfigPoint.
-                    profile = _farthest(self.g, k, seed)[1]
-                else:
-                    profile = anchor_profile(self.g, select_anchors(self.g, k, strategy, seed))
-                self._stage = anchor_stage(profile)
+                self._stage = anchor_stage(self._profile(key))
             except Exception as exc:
                 self._stage = exc
         if isinstance(self._stage, Exception):
             raise self._stage
         return self._stage
 
+    def _profile(self, key: tuple) -> np.ndarray:
+        k, strategy, seed = key
+        if k == 0:
+            return anchor_profile(self.g, AnchorSet(()))
+        if strategy == "farthest":
+            # The searches that chose the anchors are the profile;
+            # k and strategy come from an already checked ConfigPoint.
+            return _farthest(self.g, k, seed)[1]
+        self._draw(key)  # a row no plan named is drawn last and searched alone
+        anchors = self._drawn[key]
+        if isinstance(anchors, Exception):
+            raise anchors
+        if key not in self._chunk:
+            self._search_from(key)
+        columns = self._chunk[key]
+        if columns is None:  # the set's own search names its own failure
+            return anchor_profile(self.g, anchors)
+        return self._distances[:, columns].astype(np.int64)
+
+    def _search_from(self, key: tuple) -> None:
+        """Search the distinct anchors of the drawn sets from key on, in
+        draw order, up to one 64-bit word (at least key's set), in one _bfs
+        call. When that search fails, each set of the chunk searches alone."""
+        self._chunk, self._distances = {}, None  # release the old chunk before searching
+        keys = list(self._drawn)
+        sources: dict[int, int] = {}  # anchor -> column
+        members = []
+        for later in keys[keys.index(key):]:
+            anchors = self._drawn[later]
+            if isinstance(anchors, Exception):
+                continue
+            fresh = [a for a in anchors.anchors if a not in sources]
+            if members and len(sources) + len(fresh) > _WORD_BITS:
+                break
+            for a in fresh:
+                sources[a] = len(sources)
+            members.append((later, np.array([sources[a] for a in anchors.anchors])))
+        try:
+            self._distances = _bfs(self.g, list(sources))
+        except Exception:
+            self._chunk = {later: None for later, _ in members}
+        else:
+            self._chunk = dict(members)
+
     def report(self, point: ConfigPoint, seed: int) -> InstanceReport:
         """The one evaluation of a row: point's code table refining its anchor
         stage, drawn from anchor_seed_for(seed, ...). The code table comes
         first, so a row where both fail reports the code table's failure."""
-        k, m = point.effective_dims()
+        m = point.effective_dims()[1]
         table = self.get(m, float(point.eta), point.quantizer, point.scaled)
-        aseed = anchor_seed_for(seed, point.k, point.anchor_strategy, point.resample)
-        stage = self.stage(k, point.anchor_strategy, aseed)
+        stage = self.stage(*_stage_key(point, seed))
         return _report(refine_observation(stage, table.codes), table)
+
+
+def _stage_key(point: ConfigPoint, seed: int) -> tuple[int, str, int]:
+    """(active anchor count, strategy, anchor seed) of point's anchor stage."""
+    aseed = anchor_seed_for(seed, point.k, point.anchor_strategy, point.resample)
+    return point.effective_dims()[0], point.anchor_strategy, aseed
 
 
 def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
@@ -589,6 +658,7 @@ def analyze_records(
     ]
     if graph_codes is None:
         graph_codes = _GraphCodes(g, m)
+    graph_codes.plan(points, seed)
     return [_record(point, seed, graph_codes) for point in points]
 
 
@@ -608,8 +678,10 @@ def _run_job(
         return [(i, _failure_record(p, gseed, str(exc))) for i, p in indexed_points]
     m_max = max(point.effective_dims()[1] for _, point in indexed_points)
     graph_codes = _GraphCodes(g, m_max)
+    ordered = sorted(indexed_points, key=lambda item: _anchor_set_key(item[1]))
+    graph_codes.plan((point for _, point in ordered), gseed)
     out = []
-    for idx, point in sorted(indexed_points, key=lambda item: _anchor_set_key(item[1])):
+    for idx, point in ordered:
         try:
             out.append((idx, _record(point, gseed, graph_codes)))
         except Exception as exc:

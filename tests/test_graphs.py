@@ -294,6 +294,76 @@ class TestBfsMatchesShortestPath:
             assert s.avg_shortest_path_length == int(upper.sum()) / upper.size
 
 
+class TestPackedSearchMatchesShortestPath:
+    """_bfs, which packs the sources after the first up to 64 to a level
+    pass, and the level pass itself, against csgraph's unweighted shortest
+    paths: source counts on both sides of the packing rule and at the
+    64-source chunk edges, repeated sources, isolated vertices (where an
+    unguarded reduceat would read the next row) and one vertex."""
+
+    COUNTS = (
+        1, 2, graphs._PACKED_MIN_SOURCES, graphs._PACKED_MIN_SOURCES + 1, 40, 63, 64, 65, 129,
+    )
+
+    @given(graphs_of_every_shape(), st.sampled_from(COUNTS), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_against_csgraph(self, g, count, seed):
+        ref = shortest_path(g.to_sparse(), unweighted=True)
+        sources = np.random.default_rng(seed).integers(0, g.n, count).tolist()
+        packed = sources[:64]
+        for search, chosen in ((graphs._bfs, sources), (graphs._packed_search, packed)):
+            message = unreachable_message(ref[chosen], chosen)
+            if message is None:
+                dist = search(g, np.array(chosen))
+                assert dist.dtype == np.min_scalar_type(int(ref[chosen].max()))
+                assert dist.T.tolist() == ref[chosen].astype(np.int64).tolist()
+            else:
+                with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+                    search(g, np.array(chosen))
+
+    def test_distances_past_255_widen_the_dtype(self):
+        g = path_graph(600)
+        ref = shortest_path(g.to_sparse(), unweighted=True).astype(np.int64)
+        every = graphs._bfs(g, range(600))  # ten level passes after the first search
+        assert every.dtype == np.uint16
+        assert np.array_equal(every, ref)
+        sparse = np.arange(0, 600, 10)
+        packed = graphs._packed_search(g, sparse)
+        assert packed.dtype == np.uint16
+        assert np.array_equal(packed, ref[:, sparse])
+        near = graphs._bfs(g, [300, 301])  # each searched alone; eccentricity 300
+        assert near.dtype == np.uint16
+        assert np.array_equal(near, ref[:, [300, 301]])
+        assert graphs._bfs(path_graph(200), [0, 5]).dtype == np.uint8
+
+    def test_isolated_vertex_is_never_reached(self):
+        # Vertex 2 has an empty CSR row, right before vertex 3's.
+        g = graph_from_edges(5, [(0, 1), (1, 3), (3, 4)])
+        with pytest.raises(ConnectivityError, match="^vertex 2 unreachable from source 0$"):
+            graphs._packed_search(g, np.array([0, 4]))
+        with pytest.raises(ConnectivityError, match="^vertex 0 unreachable from source 2$"):
+            graphs._packed_search(g, np.array([2, 4]))
+
+    @pytest.mark.parametrize("edges", [
+        [(i, (i + 1) % 20) for i in range(20)] + [(20 + i, 20 + (i + 1) % 20) for i in range(20)],
+        [(2 * i, 2 * i + 1) for i in range(20)],
+    ], ids=["two-cycles", "matching"])
+    def test_disconnected_regular_graph(self, edges):
+        g = graph_from_edges(40, edges)
+        ref = shortest_path(g.to_sparse(), unweighted=True)
+        sources = [5, 9, 3, 30, 5]
+        message = unreachable_message(ref[sources], sources)
+        with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+            graphs._packed_search(g, np.array(sources))
+        with pytest.raises(ConnectivityError, match="^graph is not connected$"):
+            structural_stats(g)
+
+    def test_structural_stats_past_255_levels(self):
+        s = structural_stats(path_graph(600))
+        assert s.diameter == 599
+        assert s.avg_shortest_path_length == 601 / 3
+
+
 class TestAnchorProfile:
     def test_star_center(self):
         g = star_graph(3)

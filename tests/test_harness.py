@@ -567,10 +567,36 @@ class TestAnchorStagePerAnchorSet:
             trials=2, anchor_resamples=3, anchor_strategy_list=(strategy,), seed=4,
         )
 
+    def drawn_sets(self, cfg: SweepConfig, trial: int) -> list[tuple[int, ...]]:
+        """The anchor sets with k > 0 of one trial's graph, in the order
+        the sweep evaluates them: by k, then by resample."""
+        strategy = cfg.anchor_strategy_list[0]
+        gseed = graph_seed_for(cfg.seed, 60, 3, trial)
+        g = random_regular(60, 3, gseed)
+        return [
+            select_anchors(g, k, strategy, anchor_seed_for(gseed, k, strategy, i)).anchors
+            for k in (1, 3) for i in range(cfg.anchor_resamples)
+        ]
+
+    def expected_searches(self, cfg: SweepConfig) -> list[tuple[str, tuple[int, ...]]]:
+        """Every search call of the sweep, in order, with the sources it
+        gets: per trial, the k = 0 stages' empty searches, then either one
+        joint search of the distinct anchors of the random or degree sets
+        (they fit one 64-bit word) or the farthest draw's one search per
+        chosen anchor."""
+        calls = []
+        for trial in range(cfg.trials):
+            sets = self.drawn_sets(cfg, trial)
+            calls += [("alone", ())] * cfg.anchor_resamples
+            if cfg.anchor_strategy_list[0] == "farthest":
+                calls += [("alone", (a,)) for anchors in sets for a in anchors]
+            else:
+                calls.append(("joint", tuple(dict.fromkeys(a for s in sets for a in s))))
+        return calls
+
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
     def test_one_stage_per_anchor_set_one_codebook_per_table(self, monkeypatch, strategy):
-        import obsmap.graphs as graphs
-
+        expected = self.expected_searches(self.config(strategy))
         computed = count_computations(monkeypatch)
         counts = dict.fromkeys(("select_anchors", "_farthest", "anchor_profile"), 0)
         for attr in counts:
@@ -582,10 +608,12 @@ class TestAnchorStagePerAnchorSet:
 
             monkeypatch.setattr(harness, attr, wrapper)
         searched = []
-        real_bfs = graphs._bfs
-        monkeypatch.setattr(
-            graphs, "_bfs", lambda g, sources: searched.extend(sources) or real_bfs(g, sources)
-        )
+        for module, site in ((graphs, "alone"), (harness, "joint")):
+            def recording(g, sources, _real=module._bfs, _site=site):
+                searched.append((_site, tuple(int(s) for s in sources)))
+                return _real(g, sources)
+
+            monkeypatch.setattr(module, "_bfs", recording)
         res = run_sweep(self.config(strategy))
         assert all(rec.failure is None for rec in res.records)
         anchor_sets = {(r.trial, r.k, r.resample) for r in res.records if r.k > 0}
@@ -598,13 +626,12 @@ class TestAnchorStagePerAnchorSet:
             # the searches that chose the anchors are the profile
             assert counts["_farthest"] == len(anchor_sets) == 2 * 2 * 3
             assert counts["select_anchors"] == 0
-            assert counts["anchor_profile"] == stages - len(anchor_sets)
         else:
+            # each set is drawn once; its anchors are searched jointly
             assert counts["select_anchors"] == len(anchor_sets) == 2 * 2 * 3
             assert counts["_farthest"] == 0
-            assert counts["anchor_profile"] == stages
-        # every anchor of every set is searched exactly once
-        assert len(searched) == sum(k for _, k, _ in anchor_sets)
+        assert counts["anchor_profile"] == stages - len(anchor_sets)
+        assert searched == expected
 
     def test_failed_stage_gives_every_dependent_row_the_same_failure(self, monkeypatch):
         cfg = self.config("random")
@@ -612,21 +639,24 @@ class TestAnchorStagePerAnchorSet:
         failing = select_anchors(
             random_regular(60, 3, gseed), 3, "random", anchor_seed_for(gseed, 3, "random", 2)
         )
+        joint = tuple(dict.fromkeys(a for s in self.drawn_sets(cfg, 1) for a in s))
         calls = []
-        real = harness.anchor_profile
 
-        def flaky(g, anchors):
-            if anchors == failing:
-                calls.append(anchors)
+        def flaky(g, sources, _real=graphs._bfs):
+            sources = tuple(int(s) for s in sources)
+            if set(failing.anchors) <= set(sources):
+                calls.append(sources)
                 raise RuntimeError("synthetic stage failure")
-            return real(g, anchors)
+            return _real(g, sources)
 
-        monkeypatch.setattr(harness, "anchor_profile", flaky)
+        monkeypatch.setattr(harness, "_bfs", flaky)
+        monkeypatch.setattr(graphs, "_bfs", flaky)
         res = run_sweep(cfg)
         failed = [r for r in res.records if r.failure is not None]
         assert {(r.trial, r.k, r.resample) for r in failed} == {(1, 3, 2)}
         assert len(failed) == 3 * 2  # every m and eta cell of that anchor set
-        assert len(calls) == 1
+        # the joint search fails, then each of its sets searches alone
+        assert calls == [joint, failing.anchors]
         points = [p for p in cfg.points() if (p.trial, p.k, p.resample) == (1, 3, 2)]
         assert failed == [
             TrialRecord(
@@ -639,6 +669,55 @@ class TestAnchorStagePerAnchorSet:
         assert [strip_timing(r) for r in res.records if r.failure is None] == [
             strip_timing(r) for r in clean.records if (r.trial, r.k, r.resample) != (1, 3, 2)
         ]
+
+
+class TestJointAnchorSearch:
+    """_GraphCodes searches the anchors of its planned random and degree
+    sets jointly, 64 distinct anchors at a time; each stage must still be
+    the profile of its own set."""
+
+    @given(
+        st.integers(10, 60), st.sampled_from(("random", "degree")),
+        st.lists(st.integers(1, 80), min_size=1, max_size=5), st.integers(1, 5),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_stage_is_the_profile_of_its_own_set(self, half, strategy, ks, resamples, seed):
+        n = 2 * half  # small graphs, so the sets share anchors
+        g = random_regular(n, 3, seed)
+        points = [
+            point(n=n, k=min(k, n), m=0, anchor_strategy=strategy, resample=i)
+            for k in ks for i in range(resamples)
+        ]
+        graph_codes = harness._GraphCodes(g, 0)
+        graph_codes.plan(points, seed)
+        # In plan order, then backwards, so searches also start mid-plan.
+        for p in points + points[::-1]:
+            aseed = anchor_seed_for(seed, p.k, strategy, p.resample)
+            expected = graphs.anchor_profile(g, select_anchors(g, p.k, strategy, aseed))
+            profile = graph_codes.stage(*harness._stage_key(p, seed)).profile_matrix
+            assert profile.dtype == np.int64
+            assert np.array_equal(profile, expected)
+
+    def test_disconnected_graph_fails_each_set_with_its_own_message(self):
+        two_cycles = [(i, (i + 1) % 20) for i in range(20)]
+        g = graphs.graph_from_edges(40, two_cycles + [(u + 20, v + 20) for u, v in two_cycles])
+        points = [
+            ConfigPoint(40, None, k, 0, "0.5", "absolute", True, "full", "random", 0, i)
+            for k in (1, 4, 9) for i in range(4)
+        ]
+        graph_codes = harness._GraphCodes(g, 0)
+        graph_codes.plan(points, 7)
+        messages = set()
+        for p in points:
+            aseed = anchor_seed_for(7, p.k, "random", p.resample)
+            first = select_anchors(g, p.k, "random", aseed).anchors[0]
+            # The set's first anchor misses the other cycle, from its smallest vertex on.
+            message = f"vertex {0 if first >= 20 else 20} unreachable from source {first}"
+            messages.add(message)
+            with pytest.raises(graphs.ConnectivityError, match=f"^{re.escape(message)}$"):
+                graph_codes.report(p, 7)
+        assert len(messages) > 1
 
 
 class TestRecordIdentity:
