@@ -52,16 +52,17 @@ _STATS_CHUNK = _WORD_BITS
 # level, the alternative a search per source. On a 2-core x86-64 VM, best of
 # 3-10 runs, one level pass over S sources against S per-source searches, ms:
 #   graph (eccentricity)  S=4         S=8         S=16        S=32        S=63
-#   cubic n=500 (10)      0.35/0.35   0.36/0.36   0.32/1.11   0.35/2.44   0.36/4.70
-#   cubic n=6000 (15)     2.08/1.48   2.00/2.76   2.17/5.70   2.14/11.3   2.13/22.6
-#   cubic n=20000 (16)    10.3/4.90   9.60/9.34   9.67/16.0   9.70/33.5   9.67/64.5
-#   torus 60x60 (60)      4.67/0.91   4.81/1.84   4.69/3.67   4.88/7.63   4.92/14.7
-#   cycle n=3000 (1500)   68.9/9.62   69.9/20.1   69.0/38.5   69.1/85.9   72.5/133
-#   path n=2050 (1313)    141/9.93    141/17.4    141/21.7    89.5/42.4   90.6/85.4
-# Past 32 sources a cycle would gain from packing too; the rule leaves
-# graphs with that many levels to the per-source searches.
+#   cubic n=500 (11)      0.38/0.26   0.41/0.57   0.40/1.17   0.42/2.36   0.41/4.80
+#   cubic n=6000 (15)     3.56/1.26   3.50/2.63   3.52/5.38   3.53/10.8   3.63/21.2
+#   cubic n=20000 (16)    16.0/4.48   14.5/7.92   14.6/15.9   14.5/31.6   14.4/62.5
+#   torus 60x60 (60)      7.16/0.81   7.31/1.59   7.21/3.56   7.46/7.11   7.69/14.1
+#   cycle n=3000 (1500)   137/8.67    122/18.0    128/34.4    146/79.6    144/156
+#   path n=2050 (2049)    146/10.1    151/19.7    149/40.9    143/77.2    156/160
+# The pass wins about once the sources outnumber the levels. A cycle or a path
+# breaks even only near 63 sources; the rule leaves them to the per-source
+# searches.
 _PACKED_MIN_SOURCES = 8
-_PACKED_LEVELS_PER_SOURCE = 2
+_PACKED_LEVELS_PER_SOURCE = 1
 
 # Pairing-model attempts before giving up. The probability that a draw is
 # simple, and so accepted, approaches p = exp((1-r^2)/4) for large n, and all
@@ -388,9 +389,9 @@ def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int
 
     Bit j of a vertex's uint64 word stands for sources[j]. Each level ORs
     the frontier words of a vertex's neighbours (one gather of the CSR
-    indices, then one bitwise_or.reduceat over the row starts, or r strided
-    ORs on an r-regular graph) and keeps the bits not seen before: the
-    plane of bits first reached at that level d.
+    indices, then one bitwise_or.reduceat over the row starts) and keeps
+    the bits not seen before: the plane of bits first reached at that
+    level d.
     The distances are kept bit-sliced: each plane is ORed into counter b
     for every set bit b of d, so bit j of counters[b][v] is bit b of the
     distance from sources[j] to v.
@@ -400,19 +401,16 @@ def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int
         levels, which is that largest distance.
 
     Raises:
-        ConnectivityError: naming the first source that leaves a vertex
-            unreachable and its smallest such vertex.
+        ConnectivityError: some source leaves a vertex unreachable. _bfs
+            packs sources only once a search has reached every vertex, so
+            there the pass cannot fail.
     """
     csr = g.to_sparse()
     n = g.n
     indices = csr.indices.astype(np.intp)
-    degrees = np.diff(csr.indptr)
-    # A regular graph's gather reshapes to (n, r), and ORing its r strided
-    # columns is about 5x faster than reduceat. Otherwise reduceat runs on
-    # the rows with neighbours only: over an empty row it returns the next
-    # row's first value, not 0.
-    width = int(degrees[0]) if n and degrees.min() == degrees.max() else 0
-    filled = degrees > 0
+    # reduceat runs on the rows with neighbours only: over an empty row it
+    # returns the next row's first value, not 0.
+    filled = np.diff(csr.indptr) > 0
     starts = csr.indptr[:-1][filled]
     bits = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
     seen = np.zeros(n, dtype=np.uint64)
@@ -423,15 +421,8 @@ def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int
     counters: list[np.ndarray] = []
     levels = 0
     while starts.size:
-        gathered = frontier.take(indices)
-        if width:
-            columns = gathered.reshape(n, width)
-            np.copyto(plane, columns[:, 0])
-            for c in range(1, width):
-                np.bitwise_or(plane, columns[:, c], out=plane)
-        else:
-            plane[:] = 0
-            plane[filled] = np.bitwise_or.reduceat(gathered, starts)
+        plane[:] = 0
+        plane[filled] = np.bitwise_or.reduceat(frontier.take(indices), starts)
         np.bitwise_and(plane, np.invert(seen, out=unseen), out=plane)
         if not plane.any():
             break
@@ -443,12 +434,8 @@ def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int
             if levels >> b & 1:
                 np.bitwise_or(counter, plane, out=counter)
         frontier, plane = plane, frontier
-    lacking = np.bitwise_and(np.invert(seen), np.bitwise_or.reduce(bits))
-    if lacking.any():
-        word = int(np.bitwise_or.reduce(lacking))
-        j = (word & -word).bit_length() - 1  # the lowest set bit
-        missing = int(np.flatnonzero(lacking & bits[j])[0])
-        raise ConnectivityError(f"vertex {missing} unreachable from source {sources[j]}")
+    if np.bitwise_and(np.invert(seen), np.bitwise_or.reduce(bits)).any():
+        raise ConnectivityError("graph is not connected")
     return counters, levels
 
 
@@ -553,10 +540,7 @@ def structural_stats(g: Graph) -> GraphStats:
     diameter = 0
     distance_total = 0
     for start in range(0, g.n, _STATS_CHUNK):
-        try:
-            counters, levels = _packed_levels(g, np.arange(start, min(start + _STATS_CHUNK, g.n)))
-        except ConnectivityError:
-            raise ConnectivityError("graph is not connected") from None
+        counters, levels = _packed_levels(g, np.arange(start, min(start + _STATS_CHUNK, g.n)))
         diameter = max(diameter, levels)
         distance_total += sum(_popcount(counter) << b for b, counter in enumerate(counters))
     pair_count = g.n * (g.n - 1) // 2

@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import (
-    _WORD_BITS, AnchorSet, Graph, _bfs, _check_regular, anchor_profile, bfs_distances,
-    random_regular,
+    AnchorSet, Graph, _bfs, _check_regular, anchor_profile, bfs_distances, random_regular,
 )
 from .observation import (
     AnchorStage,
@@ -107,6 +106,12 @@ _AGGREGATED_METRICS = (
     "weighted_collision", "median_code_ratio", "q90_balance",
     "generic_bound", "refined_bound",
 )
+
+# Distinct anchors one joint search covers at most. _GraphCodes holds one
+# search's distances, n x this many small unsigned integers (384 KB at
+# n = 6000 while they fit a byte); more anchors per search would not make
+# each cheaper, since a level pass packs 64 sources to a word.
+_JOINT_SEARCH_ANCHORS = 64
 
 
 def mix64(*parts: object) -> int:
@@ -519,8 +524,9 @@ class _GraphCodes:
 
     def _search_from(self, key: tuple) -> None:
         """Search the distinct anchors of the drawn sets from key on, in
-        draw order, up to one 64-bit word (at least key's set), in one _bfs
-        call. When that search fails, each set of the chunk searches alone."""
+        draw order, up to _JOINT_SEARCH_ANCHORS of them (at least key's
+        set), in one _bfs call. When that search fails, each set of the
+        chunk searches alone."""
         self._chunk, self._distances = {}, None  # release the old chunk before searching
         keys = list(self._drawn)
         sources: dict[int, int] = {}  # anchor -> column
@@ -530,7 +536,7 @@ class _GraphCodes:
             if isinstance(anchors, Exception):
                 continue
             fresh = [a for a in anchors.anchors if a not in sources]
-            if members and len(sources) + len(fresh) > _WORD_BITS:
+            if members and len(sources) + len(fresh) > _JOINT_SEARCH_ANCHORS:
                 break
             for a in fresh:
                 sources[a] = len(sources)
@@ -579,7 +585,10 @@ def _record(point: ConfigPoint, seed: int, graph_codes: _GraphCodes) -> TrialRec
     """The one record builder: the row of point on graph_codes's graph,
     timed. seed is the seed the record carries and the base of its anchor
     seed. The wall time includes the anchor stage and the code table when
-    this row is the first to build them."""
+    this row is the first to build them, and a joint anchor search when
+    this row starts it, though the search also serves later anchor sets.
+    Anchor sets drawn by _GraphCodes.plan were drawn before any row's
+    timer started."""
     start = time.perf_counter()
     report = graph_codes.report(point, seed)
     wall_ms = (time.perf_counter() - start) * 1000.0
