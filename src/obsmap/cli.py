@@ -190,7 +190,9 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
     # The resample-0 row that analyze evaluates on the same flags.
     point = ConfigPoint(g.n, r, args.anchors, args.m, args.eta, args.quantizer,
                         _parse_bool(args.scaled), "full", args.strategy)
-    report = _GraphCodes(g, args.m).report(point, args.seed)
+    (report,) = _GraphCodes(g, args.m).rows([point], args.seed)
+    if isinstance(report, Exception):
+        raise report
     diag = report.diagnostics
 
     print(f"n {diag.n}")

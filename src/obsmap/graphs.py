@@ -448,19 +448,24 @@ def _popcount(words: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum(dtype=np.int64))
 
 
-def _packed_search(g: Graph, sources: np.ndarray) -> np.ndarray:
+def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from up to 64 sources by one _packed_levels pass,
-    shape (n, len(sources)), in the smallest unsigned dtype that holds
-    them."""
+    shape (n, len(sources)), written into out (zeroed, of a dtype that
+    holds them) or else into a new array of the smallest unsigned dtype
+    that holds them."""
     counters, levels = _packed_levels(g, sources)
-    dist = np.zeros((g.n, _WORD_BITS), dtype=np.min_scalar_type(levels))
+    if out is None:
+        out = np.zeros((g.n, len(sources)), dtype=np.min_scalar_type(levels))
     for b, counter in enumerate(counters):
         # Byte i of a little-endian word holds bits 8i..8i+7, so unpacking
-        # the bytes little-end first puts bit j of word v at v * 64 + j.
-        octets = counter.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(octets, bitorder="little").reshape(g.n, _WORD_BITS)
-        dist |= bits * dist.dtype.type(1 << b)
-    return dist[:, : len(sources)]
+        # each word's bytes little-end first puts bit j of word v at [v, j].
+        octets = counter.astype("<u8", copy=False).view(np.uint8).reshape(g.n, 8)
+        bits = np.unpackbits(octets, axis=1, count=len(sources), bitorder="little")
+        bits = bits.astype(out.dtype, copy=False)  # wider only past distance 255
+        np.multiply(bits, out.dtype.type(1 << b), out=bits)
+        np.bitwise_or(out, bits, out=out)
+        del bits  # so the next counter's bits are not unpacked beside these
+    return out
 
 
 def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
@@ -470,9 +475,11 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
 
     The first source is searched alone (_search_one), and its eccentricity
     decides the rest: when they number at least _PACKED_MIN_SOURCES and at
-    least that eccentricity over _PACKED_LEVELS_PER_SOURCE, they are
-    searched 64 to a level pass (_packed_search), whose cost grows with the
-    levels, not the sources; otherwise each is searched alone as well.
+    least that eccentricity over _PACKED_LEVELS_PER_SOURCE, all sources,
+    the first again, are searched 64 to a level pass (_packed_search),
+    whose cost grows with the levels, not the sources; otherwise each is
+    searched alone as well. Each search writes its own columns of one
+    result array.
 
     Raises:
         ConnectivityError: naming the first source, in the given order, that
@@ -482,16 +489,21 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
     if sources.size == 0:
         return np.zeros((g.n, 0), dtype=np.uint8)
     first = _search_one(g, int(sources[0]))
-    rest = sources[1:]
     eccentricity = int(first.max())
-    if rest.size >= _PACKED_MIN_SOURCES and eccentricity <= rest.size * _PACKED_LEVELS_PER_SOURCE:
-        blocks = [
-            _packed_search(g, rest[start : start + _WORD_BITS])
-            for start in range(0, rest.size, _WORD_BITS)
-        ]
+    # The first search reached every vertex, so no distance exceeds twice
+    # its eccentricity; the result narrows to the largest one found.
+    dist = np.zeros((g.n, sources.size), dtype=np.min_scalar_type(2 * eccentricity))
+    rest = sources.size - 1
+    if rest >= _PACKED_MIN_SOURCES and eccentricity <= rest * _PACKED_LEVELS_PER_SOURCE:
+        # From column 0, so a pass over every source writes whole rows.
+        for start in range(0, sources.size, _WORD_BITS):
+            stop = start + _WORD_BITS
+            _packed_search(g, sources[start:stop], dist[:, start:stop])
     else:
-        blocks = [_search_one(g, source)[:, None] for source in rest.tolist()]
-    return np.concatenate([first[:, None], *blocks], axis=1)
+        dist[:, 0] = first
+        for j in range(1, sources.size):
+            dist[:, j] = _search_one(g, int(sources[j]))
+    return dist.astype(np.min_scalar_type(int(dist.max())), copy=False)
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:

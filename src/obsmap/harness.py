@@ -20,7 +20,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -419,18 +419,12 @@ class _CodeTable(NamedTuple):
 
 
 class _GraphCodes:
-    """The per-graph work object: one eigensolve, the code tables and the
-    anchor stage of one graph.
+    """The per-graph work object: one eigensolve and the code tables of one
+    graph, and the one evaluation of its rows (rows).
 
     Every m is cut from a single eigensolve at m_max, the largest m the
     caller needs, solved on first use, so m=0 work never pays it. Each code
     table (m, eta, quantizer, scaled) is built once.
-    One anchor stage is held at a time: a caller evaluates the rows of one
-    anchor set together, and asking for another anchor set drops it.
-    A caller that plans its rows first lets the random and degree anchor
-    sets share searches: plan draws each set once, in evaluation order, and
-    the distinct anchors of consecutive sets are searched 64 at a time by
-    one _bfs call, of which one chunk's distances are held at a time.
     """
 
     def __init__(self, g: Graph, m_max: int) -> None:
@@ -438,13 +432,6 @@ class _GraphCodes:
         self.m_max = m_max
         self._basis: SpectralBasis | None = None
         self._codes: dict[tuple, _CodeTable] = {}
-        self._stage_key: tuple | None = None
-        self._stage: AnchorStage | Exception | None = None
-        self._drawn: dict[tuple, AnchorSet | Exception] = {}
-        # The searched chunk: each of its stage keys maps to its columns of
-        # _distances, or to None when the joint search failed.
-        self._chunk: dict[tuple, np.ndarray | None] = {}
-        self._distances: np.ndarray | None = None
 
     def basis(self) -> SpectralBasis:
         """The bottom m_max+1 eigenpairs, solved on the first call."""
@@ -470,98 +457,94 @@ class _GraphCodes:
             self._codes[key] = _CodeTable(codes, degenerate)
         return self._codes[key]
 
-    def plan(self, points: Iterable[ConfigPoint], seed: int) -> None:
-        """Draw the random and degree anchor sets of the rows to come, in
-        the order they will be evaluated, so that their searches can be
-        shared."""
-        for point in points:
-            self._draw(_stage_key(point, seed))
-
-    def _draw(self, key: tuple) -> None:
-        """Draw key's anchor set once; a failed draw is kept as the set's
-        stage failure."""
-        k, strategy, seed = key
-        if k == 0 or strategy == "farthest" or key in self._drawn:
-            return
-        try:
-            self._drawn[key] = select_anchors(self.g, k, strategy, seed)
-        except Exception as exc:
-            self._drawn[key] = exc
-
-    def stage(self, k: int, strategy: str, seed: int) -> AnchorStage:
-        """The anchor stage of k anchors drawn by strategy from the anchor
-        seed; k = 0 is the one-bucket stage. A failed build is kept like a
-        stage, so every row of that anchor set gets the same exception."""
-        key = (k, strategy, seed)
-        if key != self._stage_key:
-            self._stage_key, self._stage = key, None  # release the old stage before building
+    def rows(
+        self, points: Sequence[ConfigPoint], seed: int
+    ) -> Iterator[InstanceReport | Exception]:
+        """Each point's InstanceReport, or the exception that failed it, in
+        points' order: its code table refining its anchor stage, drawn from
+        anchor_seed_for(seed, ...). Random and degree sets are drawn once,
+        in order of first use; one _bfs call searches the distinct anchors
+        of consecutive sets, up to _JOINT_SEARCH_ANCHORS, and when it fails
+        each of its sets searches alone, failing with its own message.
+        Farthest sets take their columns from _farthest. Each stage is built
+        once for the consecutive rows sharing it, after the row's code
+        table (a row where both fail yields the table's failure), and a
+        failed stage is yielded, never raised, as one exception object.
+        Timing each request charges the first row with every draw, and a
+        row with the table and stage it first builds and the joint search
+        its set starts."""
+        keys = [(p.effective_dims()[0], p.anchor_strategy,
+                 anchor_seed_for(seed, p.k, p.anchor_strategy, p.resample)) for p in points]
+        drawn = {key: self._draw(*key) for key in dict.fromkeys(keys)}
+        chunk: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
+        built = stage = None
+        for point, key in zip(points, keys):
             try:
-                self._stage = anchor_stage(self._profile(key))
+                table = self.get(point.effective_dims()[1], float(point.eta),
+                                 point.quantizer, point.scaled)
+                if key != built:
+                    built, stage = key, None  # release the old stage before building
+                    stage = self._build_stage(key, drawn, chunk)
+                # Yielded unbound, so no report outlives its row.
+                yield stage if isinstance(stage, Exception) else _report(
+                    refine_observation(stage, table.codes), table)
             except Exception as exc:
-                self._stage = exc
-        if isinstance(self._stage, Exception):
-            raise self._stage
-        return self._stage
+                yield exc
 
-    def _profile(self, key: tuple) -> np.ndarray:
+    def _draw(self, k: int, strategy: str, seed: int) -> AnchorSet | Exception | None:
+        """A random or degree anchor set, or the exception that failed its
+        draw; None where the stage draws (k = 0, farthest)."""
+        if k == 0 or strategy == "farthest":
+            return None
+        try:
+            return select_anchors(self.g, k, strategy, seed)
+        except Exception as exc:
+            return exc
+
+    def _build_stage(self, key: tuple, drawn: dict, chunk: dict) -> AnchorStage | Exception:
+        """key's anchor stage, or the exception that failed it; chunk holds
+        the last joint search and is replaced when it misses key's set."""
         k, strategy, seed = key
-        if k == 0:
-            return anchor_profile(self.g, AnchorSet(()))
-        if strategy == "farthest":
-            # The searches that chose the anchors are the profile;
-            # k and strategy come from an already checked ConfigPoint.
-            return _farthest(self.g, k, seed)[1]
-        self._draw(key)  # a row no plan named is drawn last and searched alone
-        anchors = self._drawn[key]
-        if isinstance(anchors, Exception):
-            raise anchors
-        if key not in self._chunk:
-            self._search_from(key)
-        columns = self._chunk[key]
-        if columns is None:  # the set's own search names its own failure
-            return anchor_profile(self.g, anchors)
-        return self._distances[:, columns].astype(np.int64)
-
-    def _search_from(self, key: tuple) -> None:
-        """Search the distinct anchors of the drawn sets from key on, in
-        draw order, up to _JOINT_SEARCH_ANCHORS of them (at least key's
-        set), in one _bfs call. When that search fails, each set of the
-        chunk searches alone."""
-        self._chunk, self._distances = {}, None  # release the old chunk before searching
-        keys = list(self._drawn)
-        sources: dict[int, int] = {}  # anchor -> column
-        members = []
-        for later in keys[keys.index(key):]:
-            anchors = self._drawn[later]
+        anchors = drawn[key]
+        try:
             if isinstance(anchors, Exception):
+                return anchors
+            if k == 0:
+                return anchor_stage(anchor_profile(self.g, AnchorSet(())))
+            if strategy == "farthest":  # k and strategy come from a checked ConfigPoint
+                return anchor_stage(_farthest(self.g, k, seed)[1])
+            if key not in chunk:
+                chunk.clear()  # release the old distances before searching
+                chunk.update(self._search_from(key, drawn))
+            if chunk[key] is None:  # the set's own search names its own failure
+                return anchor_stage(anchor_profile(self.g, anchors))
+            distances, columns = chunk[key]
+            return anchor_stage(distances[:, columns].astype(np.int64))
+        except Exception as exc:
+            return exc
+
+    def _search_from(self, key: tuple, drawn: dict) -> dict:
+        """The drawn sets from key's on whose distinct anchors, at most
+        _JOINT_SEARCH_ANCHORS (or key's set), one _bfs call searches: each
+        maps to the distances and its columns, or to None if it failed."""
+        keys = list(drawn)
+        sources: dict[int, int] = {}  # anchor -> column
+        members = {}
+        for later in keys[keys.index(key):]:
+            anchors = drawn[later]
+            if not isinstance(anchors, AnchorSet):  # a failed or stage-drawn set
                 continue
             fresh = [a for a in anchors.anchors if a not in sources]
             if members and len(sources) + len(fresh) > _JOINT_SEARCH_ANCHORS:
                 break
             for a in fresh:
                 sources[a] = len(sources)
-            members.append((later, np.array([sources[a] for a in anchors.anchors])))
+            members[later] = np.array([sources[a] for a in anchors.anchors])
         try:
-            self._distances = _bfs(self.g, list(sources))
+            distances = _bfs(self.g, list(sources))
         except Exception:
-            self._chunk = {later: None for later, _ in members}
-        else:
-            self._chunk = dict(members)
-
-    def report(self, point: ConfigPoint, seed: int) -> InstanceReport:
-        """The one evaluation of a row: point's code table refining its anchor
-        stage, drawn from anchor_seed_for(seed, ...). The code table comes
-        first, so a row where both fail reports the code table's failure."""
-        m = point.effective_dims()[1]
-        table = self.get(m, float(point.eta), point.quantizer, point.scaled)
-        stage = self.stage(*_stage_key(point, seed))
-        return _report(refine_observation(stage, table.codes), table)
-
-
-def _stage_key(point: ConfigPoint, seed: int) -> tuple[int, str, int]:
-    """(active anchor count, strategy, anchor seed) of point's anchor stage."""
-    aseed = anchor_seed_for(seed, point.k, point.anchor_strategy, point.resample)
-    return point.effective_dims()[0], point.anchor_strategy, aseed
+            return dict.fromkeys(members)
+        return {later: (distances, columns) for later, columns in members.items()}
 
 
 def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
@@ -581,17 +564,23 @@ def evaluate_instance(g: Graph, anchors: AnchorSet, codes: QuantizedCodes) -> In
     return _report(build_observation(g, anchors, codes), _CodeTable(codes, False))
 
 
-def _record(point: ConfigPoint, seed: int, graph_codes: _GraphCodes) -> TrialRecord:
-    """The one record builder: the row of point on graph_codes's graph,
-    timed. seed is the seed the record carries and the base of its anchor
-    seed. The wall time includes the anchor stage and the code table when
-    this row is the first to build them, and a joint anchor search when
-    this row starts it, though the search also serves later anchor sets.
-    Anchor sets drawn by _GraphCodes.plan were drawn before any row's
-    timer started."""
-    start = time.perf_counter()
-    report = graph_codes.report(point, seed)
-    wall_ms = (time.perf_counter() - start) * 1000.0
+def _records(graph_codes: _GraphCodes, points: Sequence[ConfigPoint],
+             seed: int) -> Iterator[TrialRecord | Exception]:
+    """graph_codes.rows as records, each timed from its request to its
+    report (rows says what a row is charged with), and exceptions."""
+    reports = graph_codes.rows(points, seed)
+    for point in points:
+        start = time.perf_counter()
+        report = next(reports)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        yield report if isinstance(report, Exception) else _record(point, seed, report, wall_ms)
+        del report  # release it before the next row is built
+
+
+def _record(point: ConfigPoint, seed: int, report: InstanceReport, wall_ms: float) -> TrialRecord:
+    """The one record builder: point's row from its report and its wall
+    time in ms. seed is the seed the record carries, the base of its
+    anchor seed."""
     stats = report.stats
     base = report.diagnostics.level(2)
     bounds = report.bounds
@@ -629,11 +618,6 @@ def _failure_record(point: ConfigPoint, seed: int, reason: str) -> TrialRecord:
     return TrialRecord(**_point_identity(point), seed=seed, failure=reason)
 
 
-def _anchor_set_key(point: ConfigPoint) -> tuple:
-    """What a point's anchor stage depends on besides its graph."""
-    return (point.effective_dims()[0], point.k, point.anchor_strategy, point.resample)
-
-
 def analyze_records(
     g: Graph,
     *,
@@ -667,8 +651,12 @@ def analyze_records(
     ]
     if graph_codes is None:
         graph_codes = _GraphCodes(g, m)
-    graph_codes.plan(points, seed)
-    return [_record(point, seed, graph_codes) for point in points]
+    records = []
+    for rec in _records(graph_codes, points, seed):
+        if isinstance(rec, Exception):
+            raise rec
+        records.append(rec)
+    return records
 
 
 def _run_job(
@@ -685,17 +673,14 @@ def _run_job(
         g = random_regular(n, r, gseed)
     except Exception as exc:
         return [(i, _failure_record(p, gseed, str(exc))) for i, p in indexed_points]
-    m_max = max(point.effective_dims()[1] for _, point in indexed_points)
-    graph_codes = _GraphCodes(g, m_max)
-    ordered = sorted(indexed_points, key=lambda item: _anchor_set_key(item[1]))
-    graph_codes.plan((point for _, point in ordered), gseed)
-    out = []
-    for idx, point in ordered:
-        try:
-            out.append((idx, _record(point, gseed, graph_codes)))
-        except Exception as exc:
-            out.append((idx, _failure_record(point, gseed, str(exc))))
-    return out
+    graph_codes = _GraphCodes(g, max(p.effective_dims()[1] for _, p in indexed_points))
+    ordered = sorted(indexed_points, key=lambda item: (
+        item[1].effective_dims()[0], item[1].k, item[1].anchor_strategy, item[1].resample))
+    records = _records(graph_codes, [point for _, point in ordered], gseed)
+    return [
+        (idx, _failure_record(point, gseed, str(rec)) if isinstance(rec, Exception) else rec)
+        for (idx, point), rec in zip(ordered, records)
+    ]
 
 
 def _aggregate(records: Sequence[TrialRecord]) -> dict[tuple, Aggregate]:

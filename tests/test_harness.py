@@ -4,7 +4,9 @@ and the anchor-threshold table."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -672,9 +674,29 @@ class TestAnchorStagePerAnchorSet:
 
 
 class TestJointAnchorSearch:
-    """_GraphCodes searches the anchors of its planned random and degree
-    sets jointly, 64 distinct anchors at a time; each stage must still be
-    the profile of its own set."""
+    """_GraphCodes.rows searches the anchors of its random and degree sets
+    jointly, 64 distinct anchors at a time; each stage must still be the
+    profile of its own set."""
+
+    @staticmethod
+    def stage_profiles(g, points, seed) -> list[np.ndarray]:
+        """The profile of each anchor stage that rows builds, in order."""
+        profiles = []
+
+        def recording(profile, _real=harness.anchor_stage):
+            profiles.append(profile)
+            return _real(profile)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "anchor_stage", recording)
+            reports = list(harness._GraphCodes(g, 0).rows(points, seed))
+        assert not [r for r in reports if isinstance(r, Exception)]
+        return profiles
+
+    @staticmethod
+    def two_cycles() -> graphs.Graph:
+        cycle = [(i, (i + 1) % 20) for i in range(20)]
+        return graphs.graph_from_edges(40, cycle + [(u + 20, v + 20) for u, v in cycle])
 
     @given(
         st.integers(10, 60), st.sampled_from(("random", "degree")),
@@ -689,35 +711,51 @@ class TestJointAnchorSearch:
             point(n=n, k=min(k, n), m=0, anchor_strategy=strategy, resample=i)
             for k in ks for i in range(resamples)
         ]
-        graph_codes = harness._GraphCodes(g, 0)
-        graph_codes.plan(points, seed)
-        # In plan order, then backwards, so searches also start mid-plan.
-        for p in points + points[::-1]:
-            aseed = anchor_seed_for(seed, p.k, strategy, p.resample)
-            expected = graphs.anchor_profile(g, select_anchors(g, p.k, strategy, aseed))
-            profile = graph_codes.stage(*harness._stage_key(p, seed)).profile_matrix
-            assert profile.dtype == np.int64
-            assert np.array_equal(profile, expected)
+        # The whole list, a suffix and the list backwards, so searches also
+        # start mid-list; consecutive rows of one set share its stage.
+        for rows in (points, points[len(points) // 2:], points[::-1]):
+            expected = [
+                graphs.anchor_profile(g, select_anchors(
+                    g, k, strategy, anchor_seed_for(seed, k, strategy, i)))
+                for (k, i), _ in itertools.groupby(rows, lambda p: (p.k, p.resample))
+            ]
+            profiles = self.stage_profiles(g, rows, seed)
+            assert all(profile.dtype == np.int64 for profile in profiles)
+            assert len(profiles) == len(expected)
+            assert all(map(np.array_equal, profiles, expected))
 
     def test_disconnected_graph_fails_each_set_with_its_own_message(self):
-        two_cycles = [(i, (i + 1) % 20) for i in range(20)]
-        g = graphs.graph_from_edges(40, two_cycles + [(u + 20, v + 20) for u, v in two_cycles])
+        g = self.two_cycles()
         points = [
             ConfigPoint(40, None, k, 0, "0.5", "absolute", True, "full", "random", 0, i)
             for k in (1, 4, 9) for i in range(4)
         ]
-        graph_codes = harness._GraphCodes(g, 0)
-        graph_codes.plan(points, 7)
+        failures = list(harness._GraphCodes(g, 0).rows(points, 7))
+        assert len(failures) == len(points)
         messages = set()
-        for p in points:
+        for p, failure in zip(points, failures):
             aseed = anchor_seed_for(7, p.k, "random", p.resample)
             first = select_anchors(g, p.k, "random", aseed).anchors[0]
             # The set's first anchor misses the other cycle, from its smallest vertex on.
             message = f"vertex {0 if first >= 20 else 20} unreachable from source {first}"
             messages.add(message)
-            with pytest.raises(graphs.ConnectivityError, match=f"^{re.escape(message)}$"):
-                graph_codes.report(p, 7)
+            assert isinstance(failure, graphs.ConnectivityError)
+            assert str(failure) == message
         assert len(messages) > 1
+
+    def test_failed_set_yields_one_exception_whose_traceback_does_not_grow(self):
+        etas = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6")
+        points = [
+            ConfigPoint(40, None, 4, 0, eta, "absolute", True, "full", "random")
+            for eta in etas
+        ]
+        rows = harness._GraphCodes(self.two_cycles(), 0).rows(points, 7)
+        first = next(rows)
+        assert isinstance(first, graphs.ConnectivityError)
+        frames = len(traceback.extract_tb(first.__traceback__))
+        rest = list(rows)
+        assert len(rest) == 5 and all(failure is first for failure in rest)
+        assert len(traceback.extract_tb(first.__traceback__)) == frames
 
 
 class TestRecordIdentity:
