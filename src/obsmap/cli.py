@@ -109,6 +109,13 @@ def _or_na(value: object, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
+def _warn_if_degenerate(degenerate: bool) -> None:
+    """Warn on stderr when a row's spectral codes are basis-dependent."""
+    if degenerate:
+        print("warning: near-degenerate eigenvalues; spectral codes are "
+              "basis-dependent at this m", file=sys.stderr)
+
+
 def _cmd_gen_regular(args: argparse.Namespace) -> int:
     g = random_regular(args.n, args.r, args.seed)
     if args.out is not None:
@@ -152,12 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         resamples=args.resamples,
         graph_codes=graph_codes,
     )
-    if records[0].degenerate:
-        print(
-            "warning: near-degenerate eigenvalues; spectral codes are "
-            "basis-dependent at this m",
-            file=sys.stderr,
-        )
+    _warn_if_degenerate(records[0].degenerate)
     if args.basis_tsv is not None:
         write_basis_tsv(graph_codes.basis(), args.basis_tsv)
     if args.embedding_tsv is not None:
@@ -193,6 +195,7 @@ def _cmd_diagnose_buckets(args: argparse.Namespace) -> int:
     (report,) = _GraphCodes(g, args.m).rows([point], args.seed)
     if isinstance(report, Exception):
         raise report
+    _warn_if_degenerate(report.degenerate)
     diag = report.diagnostics
 
     print(f"n {diag.n}")

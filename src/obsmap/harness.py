@@ -20,7 +20,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -411,27 +411,21 @@ def _farthest(g: Graph, k: int, seed: int) -> tuple[AnchorSet, np.ndarray]:
     return AnchorSet(tuple(chosen)), np.column_stack(columns)
 
 
-class _CodeTable(NamedTuple):
-    """One quantized code table and its degeneracy flag."""
-
-    codes: QuantizedCodes
-    degenerate: bool
-
-
 class _GraphCodes:
     """The per-graph work object: one eigensolve and the code tables of one
     graph, and the one evaluation of its rows (rows).
 
-    Every m is cut from a single eigensolve at m_max, the largest m the
-    caller needs, solved on first use, so m=0 work never pays it. Each code
-    table (m, eta, quantizer, scaled) is built once.
+    Every m is cut by energy_embedding from a single eigensolve at m_max,
+    the largest m the caller needs, solved on first use, so m=0 work never
+    pays it. Each code table (m, eta, quantizer, scaled) is built once and
+    carries its own degeneracy flag.
     """
 
     def __init__(self, g: Graph, m_max: int) -> None:
         self.g = g
         self.m_max = m_max
         self._basis: SpectralBasis | None = None
-        self._codes: dict[tuple, _CodeTable] = {}
+        self._codes: dict[tuple, QuantizedCodes] = {}
 
     def basis(self) -> SpectralBasis:
         """The bottom m_max+1 eigenpairs, solved on the first call."""
@@ -439,22 +433,14 @@ class _GraphCodes:
             self._basis = low_frequency_basis(normalized_laplacian(self.g), self.m_max)
         return self._basis
 
-    def get(self, m: int, eta: float, quantizer: str, scaled: bool) -> _CodeTable:
-        """The code table of one spectral configuration."""
+    def get(self, m: int, eta: float, quantizer: str, scaled: bool) -> QuantizedCodes:
+        """The code table of one spectral configuration, flagged as its
+        embedding is."""
         key = (m, eta, quantizer, scaled)
         if key not in self._codes:
-            if m == 0:
-                emb = empty_embedding(self.g.n, scaled)
-                degenerate = False
-            else:
-                basis = self.basis().leading(m)
-                emb = energy_embedding(basis, m, scaled)
-                degenerate = basis.degeneracy_flag
-            if quantizer == "absolute":
-                codes = quantize_absolute(emb, eta)
-            else:
-                codes = quantize_relative(emb, eta)
-            self._codes[key] = _CodeTable(codes, degenerate)
+            emb = energy_embedding(self.basis(), m, scaled) if m else empty_embedding(self.g.n, scaled)
+            quantize = quantize_absolute if quantizer == "absolute" else quantize_relative
+            self._codes[key] = quantize(emb, eta)
         return self._codes[key]
 
     def rows(
@@ -480,14 +466,14 @@ class _GraphCodes:
         built = stage = None
         for point, key in zip(points, keys):
             try:
-                table = self.get(point.effective_dims()[1], float(point.eta),
+                codes = self.get(point.effective_dims()[1], float(point.eta),
                                  point.quantizer, point.scaled)
                 if key != built:
                     built, stage = key, None  # release the old stage before building
                     stage = self._build_stage(key, drawn, chunk)
                 # Yielded unbound, so no report outlives its row.
                 yield stage if isinstance(stage, Exception) else _report(
-                    refine_observation(stage, table.codes), table)
+                    refine_observation(stage, codes), codes)
             except Exception as exc:
                 yield exc
 
@@ -547,21 +533,21 @@ class _GraphCodes:
         return {later: (distances, columns) for later, columns in members.items()}
 
 
-def _report(obs: ObservationTable, table: _CodeTable) -> InstanceReport:
+def _report(obs: ObservationTable, codes: QuantizedCodes) -> InstanceReport:
     return InstanceReport(
         stats=fiber_stats(obs),
         diagnostics=bucket_diagnostics(obs),
-        bounds=bound_report(obs, table.codes),
-        codebook=codebook_size(table.codes),
-        degenerate=table.degenerate,
+        bounds=bound_report(obs, codes),
+        codebook=codebook_size(codes),
+        degenerate=codes.degenerate,
     )
 
 
 def evaluate_instance(g: Graph, anchors: AnchorSet, codes: QuantizedCodes) -> InstanceReport:
     """Observation table statistics, bucket diagnostics, and bounds for one
-    fully specified instance. Without the basis behind the codes it cannot
-    see near-degenerate eigenvalues, so its report's degenerate is False."""
-    return _report(build_observation(g, anchors, codes), _CodeTable(codes, False))
+    fully specified instance; the report is degenerate when the codes are,
+    that is when their basis has near-degenerate eigenvalues at their m."""
+    return _report(build_observation(g, anchors, codes), codes)
 
 
 def _records(graph_codes: _GraphCodes, points: Sequence[ConfigPoint],
@@ -703,6 +689,21 @@ def _aggregate(records: Sequence[TrialRecord]) -> dict[tuple, Aggregate]:
     return out
 
 
+def _run_jobs(batch_list: list[tuple], jobs: int | None) -> Iterator[list]:
+    """Each batch's _run_job result: in order in this process when jobs is
+    at most 1 or there is one batch, else in completion order from a pool
+    of jobs worker processes."""
+    if jobs is None or jobs <= 1 or len(batch_list) <= 1:
+        yield from itertools.starmap(_run_job, batch_list)
+        return
+    # concurrent.futures loads its process pool (and multiprocessing) on
+    # this first attribute access, so serial sweeps never import it.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_job, *args) for args in batch_list]
+        for fut in concurrent.futures.as_completed(futures):
+            yield fut.result()
+
+
 def run_sweep(
     cfg: SweepConfig,
     jobs: int | None = None,
@@ -722,26 +723,11 @@ def run_sweep(
         batches[(point.n, point.r, point.trial)].append((idx, point))
     batch_list = [(cfg.seed, *graph, indexed) for graph, indexed in sorted(batches.items())]
     records: list[TrialRecord | None] = [None] * len(points)
-    done = 0
-    total = len(batch_list)
-    if jobs is None or jobs <= 1 or total <= 1:
-        for args in batch_list:
-            for idx, rec in _run_job(*args):
-                records[idx] = rec
-            done += 1
-            if progress is not None:
-                progress(done, total)
-    else:
-        # concurrent.futures loads its process pool (and multiprocessing) on
-        # this first attribute access, so serial sweeps never import it.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_job, *args) for args in batch_list]
-            for fut in concurrent.futures.as_completed(futures):
-                for idx, rec in fut.result():
-                    records[idx] = rec
-                done += 1
-                if progress is not None:
-                    progress(done, total)
+    for done, job in enumerate(_run_jobs(batch_list, jobs), 1):
+        for idx, rec in job:
+            records[idx] = rec
+        if progress is not None:
+            progress(done, len(batch_list))
     final = tuple(records)  # type: ignore[arg-type]
     return SweepResult(config=cfg, records=final)
 

@@ -15,10 +15,11 @@ J. Matrix Anal. Appl., 2007), which cuts the number of ARPACK steps; the
 damped interval starts at a Rayleigh-Ritz upper bound from a short Lanczos
 pass, and every returned eigenvalue is checked to lie below it. One pair
 beyond the retained ones is solved so the degeneracy flag also sees the
-retention boundary, and a basis solved once at the largest m needed can be
-cut down per m with SpectralBasis.leading. Both solves run with the OpenBLAS
-bundled with numpy and scipy on one thread, and give each library its
-thread count back when they return.
+retention boundary. A basis solved once at the largest m needed is cut per m
+by energy_embedding alone, which flags its columns as a fresh solve at that m
+would; the flag rides on to the quantized code table. Both solves run with
+the OpenBLAS bundled with numpy and scipy on one thread, and give each
+library its thread count back when they return.
 """
 
 from __future__ import annotations
@@ -143,22 +144,6 @@ class SpectralBasis:
         """Number of retained nontrivial eigenpairs."""
         return self.vectors.shape[1] - 1
 
-    def leading(self, m: int) -> SpectralBasis:
-        """The bottom m+1 pairs of this basis, flagged (at DEGENERACY_TOL)
-        against their own retention boundary; equals a fresh
-        low_frequency_basis(op, m) up to solver rounding."""
-        if not 0 <= m <= self.m:
-            raise ValueError(f"basis holds {self.m} nontrivial vectors, m={m} requested")
-        if m == self.m:
-            return self
-        vals = self.eigenvalues[: m + 2]
-        return SpectralBasis(
-            eigenvalues=_readonly(vals[:-1].copy()),
-            vectors=_readonly(self.vectors[:, : m + 1].copy()),
-            degeneracy_flag=_degenerate(vals),
-            next_eigenvalue=float(vals[-1]),
-        )
-
 
 @dataclass(frozen=True)
 class EnergyEmbedding:
@@ -166,11 +151,14 @@ class EnergyEmbedding:
 
     Column j holds the energy of the (j+1)-th eigenvector (trivial
     excluded). With scaled=True entries are multiplied by n, which makes
-    the column means exactly 1.
+    the column means exactly 1. degenerate is the degeneracy flag of the
+    basis these m columns were cut from, taken at their own retention
+    boundary: the flag a fresh low_frequency_basis(op, m) carries.
     """
 
     values: np.ndarray
     scaled: bool
+    degenerate: bool = False
 
     @property
     def n(self) -> int:
@@ -188,13 +176,15 @@ class QuantizedCodes:
     rule is "absolute" (floor with step eta) or "relative" (round half away
     from zero with step delta = eta * max absolute embedding entry). delta
     records the step actually applied; 0.0 when the embedding was empty or
-    identically zero.
+    identically zero. degenerate is the embedding's flag: the codes are
+    basis-dependent when it is set.
     """
 
     codes: np.ndarray
     rule: str
     eta: float
     delta: float
+    degenerate: bool = False
 
     @property
     def n(self) -> int:
@@ -475,15 +465,20 @@ def low_frequency_basis(op: sp.spmatrix | np.ndarray, m: int) -> SpectralBasis:
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
 
-    return SpectralBasis(_readonly(vals), _readonly(vecs), _degenerate(vals)).leading(m)
+    next_eigenvalue = float(vals[m + 1]) if vals.size > m + 1 else None
+    return SpectralBasis(_readonly(vals[: m + 1].copy()), _readonly(vecs[:, : m + 1].copy()),
+                         _degenerate(vals), next_eigenvalue)
 
 
 def energy_embedding(basis: SpectralBasis, m: int, scaled: bool) -> EnergyEmbedding:
-    """Squared entries of the first m nontrivial eigenvectors.
+    """Squared entries of the first m nontrivial eigenvectors: the one
+    per-m cut of a basis solved at its largest m.
 
     With scaled=True values are multiplied by n; unit eigenvector norm then
     makes every column mean exactly 1, so a fixed quantization step acts
-    relative to the typical entry.
+    relative to the typical entry. The embedding is flagged degenerate as
+    low_frequency_basis(op, m) would be: from the basis's own flag when m is
+    its m, else from its first m+2 eigenvalues.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
@@ -492,22 +487,34 @@ def energy_embedding(basis: SpectralBasis, m: int, scaled: bool) -> EnergyEmbedd
     values = basis.vectors[:, 1 : m + 1] ** 2
     if scaled:
         values = values * basis.n
-    return EnergyEmbedding(values=_readonly(values), scaled=scaled)
+    flag = basis.degeneracy_flag if m == basis.m else _degenerate(basis.eigenvalues[: m + 2])
+    return EnergyEmbedding(values=_readonly(values), scaled=scaled, degenerate=flag)
 
 
 def empty_embedding(n: int, scaled: bool) -> EnergyEmbedding:
-    """Zero-column embedding for pipelines whose spectral part is inactive."""
-    return EnergyEmbedding(values=_readonly(np.zeros((n, 0))), scaled=scaled)
+    """Zero-column embedding for pipelines whose spectral part is inactive;
+    never degenerate."""
+    return EnergyEmbedding(values=_readonly(np.zeros((n, 0))), scaled=scaled, degenerate=False)
+
+
+def _int64_codes(steps: np.ndarray, eta: float) -> np.ndarray:
+    """Whole step counts as read-only int64 codes; ValueError naming eta
+    when one lies outside int64's range, where the cast would wrap it."""
+    if not np.all(np.abs(steps) < 2.0**63):
+        raise ValueError(f"eta {eta:g} is too small: a spectral code leaves the int64 range")
+    return _readonly(steps.astype(np.int64))
 
 
 def quantize_absolute(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
-    """Floor quantizer with fixed step eta: code = floor(value / eta)."""
+    """Floor quantizer with fixed step eta: code = floor(value / eta).
+
+    Raises ValueError when eta is not positive or a code leaves int64.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    codes = np.floor(emb.values / eta).astype(np.int64)
-    return QuantizedCodes(
-        codes=_readonly(codes), rule="absolute", eta=float(eta), delta=float(eta)
-    )
+    codes = _int64_codes(np.floor(emb.values / eta), eta)
+    return QuantizedCodes(codes=codes, rule="absolute", eta=float(eta), delta=float(eta),
+                          degenerate=emb.degenerate)
 
 
 def quantize_relative(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
@@ -515,22 +522,21 @@ def quantize_relative(emb: EnergyEmbedding, eta: float) -> QuantizedCodes:
 
     code = round(value / delta) with halves away from zero, where
     delta = eta * max|values|. An empty or identically zero embedding
-    yields all-zero codes and delta 0 without dividing.
+    yields all-zero codes and delta 0 without dividing. Raises ValueError
+    when eta is not positive or a code leaves int64.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     max_abs = float(np.max(np.abs(emb.values), initial=0.0))
     if max_abs == 0.0:
-        codes = np.zeros(emb.values.shape, dtype=np.int64)
-        return QuantizedCodes(
-            codes=_readonly(codes), rule="relative", eta=float(eta), delta=0.0
-        )
-    delta = eta * max_abs
-    x = emb.values / delta
-    codes = (np.copysign(np.floor(np.abs(x) + 0.5), x)).astype(np.int64)
-    return QuantizedCodes(
-        codes=_readonly(codes), rule="relative", eta=float(eta), delta=float(delta)
-    )
+        codes = _readonly(np.zeros(emb.values.shape, dtype=np.int64))
+        delta = 0.0
+    else:
+        delta = eta * max_abs
+        x = emb.values / delta
+        codes = _int64_codes(np.copysign(np.floor(np.abs(x) + 0.5), x), eta)
+    return QuantizedCodes(codes=codes, rule="relative", eta=float(eta), delta=float(delta),
+                          degenerate=emb.degenerate)
 
 
 def codebook_size(codes: QuantizedCodes) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import stat
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,11 +296,29 @@ class TestAnalyze:
         # at m=2 trips the basis-dependence warning.
         path = tmp_path / "c4.edges"
         path.write_text("a b\nb c\nc d\nd a\n")
-        code, _, err = run_cli(
-            capsys, "analyze", "--graph", str(path), "--anchors", "1",
-            "--m", "2", "--eta", "0.5")
-        assert code == 0
-        assert "near-degenerate" in err
+        for command in ("analyze", "diagnose-buckets"):
+            code, _, err = run_cli(
+                capsys, command, "--graph", str(path), "--anchors", "1",
+                "--m", "2", "--eta", "0.5")
+            assert code == 0, command
+            assert "near-degenerate" in err, command
+        # The path's spectrum is simple, so the same row warns in neither.
+        path.write_text("a b\nb c\nc d\n")
+        for command in ("analyze", "diagnose-buckets"):
+            code, _, err = run_cli(
+                capsys, command, "--graph", str(path), "--anchors", "1",
+                "--m", "2", "--eta", "0.5")
+            assert code == 0, command
+            assert "near-degenerate" not in err, command
+
+    @pytest.mark.parametrize("quantizer", ["absolute", "relative"])
+    def test_eta_too_small_for_int64_codes_exits_2(self, capsys, quantizer):
+        code, out, err = run_cli(
+            capsys, "analyze", "--regular", "64,3", "--seed", "1", "--anchors", "1",
+            "--m", "2", "--eta", "1e-20", "--quantizer", quantizer)
+        assert code == 2
+        assert "eta 1e-20" in err
+        assert out == ""
 
     def test_bad_scaled_flag_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -661,7 +680,7 @@ class TestKemp:
         assert code == 1
 
     def test_corrupt_cell_exits_1_naming_line_and_column(self, capsys, eta_grid_csv, tmp_path):
-        lines = open(eta_grid_csv, encoding="utf-8").read().splitlines()
+        lines = Path(eta_grid_csv).read_text(encoding="utf-8").splitlines()
         cells = lines[4].split(",")
         cells[CSV_COLUMNS.index("error")] = "0.0x3"
         lines[4] = ",".join(cells)
@@ -678,7 +697,7 @@ class TestKemp:
         # Read as text, either cell would pass the parser: a bad eta used to
         # fail later, in the sort of the table, and a misspelled quantizer to
         # print a setting of its own.
-        lines = open(eta_grid_csv, encoding="utf-8").read().splitlines()
+        lines = Path(eta_grid_csv).read_text(encoding="utf-8").splitlines()
         cells = lines[4].split(",")
         cells[CSV_COLUMNS.index(column)] = cell
         lines[4] = ",".join(cells)

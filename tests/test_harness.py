@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 import traceback
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import obsmap.harness as harness
 from obsmap import graphs
-from obsmap.graphs import random_regular
+from obsmap.graphs import AnchorSet, random_regular
 from obsmap.harness import (
     CSV_COLUMNS,
     DEFAULT_THRESHOLD,
@@ -29,6 +32,7 @@ from obsmap.harness import (
     TrialRecord,
     analyze_records,
     anchor_seed_for,
+    evaluate_instance,
     graph_seed_for,
     k_emp,
     kemp_table,
@@ -41,7 +45,11 @@ from obsmap.harness import (
     write_records_csv,
 )
 
-from conftest import one_point_record, path_graph, random_connected_graph, star_graph
+from obsmap.spectral import (
+    energy_embedding, low_frequency_basis, normalized_laplacian, quantize_absolute,
+)
+
+from conftest import cycle_graph, one_point_record, path_graph, random_connected_graph, star_graph
 
 
 def point(**overrides) -> ConfigPoint:
@@ -253,6 +261,17 @@ class TestAnalyzeRecords:
             analyze_records(g, r=3, k=0, m=0, eta="0.1")
 
 
+class TestEvaluateInstance:
+    @pytest.mark.parametrize("g, flag", [(cycle_graph(3000), True), (path_graph(300), False)],
+                             ids=["cycle3000", "path300"])
+    def test_reports_the_codes_degeneracy_flag(self, g, flag):
+        # C_3000 doubles every nontrivial eigenvalue; a path's are simple.
+        basis = low_frequency_basis(normalized_laplacian(g), 4)
+        codes = quantize_absolute(energy_embedding(basis, 2, True), 0.5)
+        assert codes.degenerate is flag
+        assert evaluate_instance(g, AnchorSet((0,)), codes).degenerate is flag
+
+
 class TestSweepConfigValidation:
     def test_odd_product_rejected(self):
         with pytest.raises(ValueError, match=r"^n \* r must be even, got n=65, r=3$"):
@@ -435,6 +454,27 @@ class TestRunSweep:
         ]
         assert len(metrics) == 14
         assert all(getattr(r, name) is None for r in failed for name in metrics)
+
+    def test_eta_too_small_for_int64_codes_fails_only_spectral_cells(self):
+        res = run_sweep(self.small_config(eta_list=("1e-20",)))
+        assert all(r.failure is None for r in res.records if r.m == 0)
+        spectral_rows = [r for r in res.records if r.m == 1]
+        assert len(spectral_rows) == 3 * 2
+        assert all("eta 1e-20" in r.failure for r in spectral_rows)
+
+    def test_serial_sweep_never_loads_the_process_pool(self):
+        probe = (
+            "import sys\n"
+            "from obsmap.harness import SweepConfig, run_sweep\n"
+            "cfg = SweepConfig(n_list=(40,), k_list=(2,), m_list=(0, 1), eta_list=('0.5',), trials=2)\n"
+            "run_sweep(cfg, jobs=1)\n"
+            "sys.exit('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_per_point_failure_does_not_stop_sweep(self, monkeypatch):
         cfg = self.small_config()

@@ -230,29 +230,26 @@ class TestLowFrequencyBasis:
 
     def test_boundary_tie_is_flagged_in_lanczos_slices(self, cycle3000):
         # Cycle spectrum 0, a, a, b, b, c, c: odd m ends inside a pair (a
-        # boundary tie), even m keeps a whole pair.
-        _, full = cycle3000
+        # boundary tie), even m keeps a whole pair. Each embedding cut from
+        # the m=5 basis is flagged as a fresh solve at its m is.
+        lap, full = cycle3000
+        assert full.eigenvalues[2] - full.eigenvalues[1] < DEGENERACY_TOL
         for m in range(1, 5):
-            cut = full.leading(m)
-            assert cut.eigenvalues.shape == (m + 1,)
-            assert cut.vectors.shape == (3000, m + 1)
-            assert cut.next_eigenvalue == full.eigenvalues[m + 1]
-            assert cut.degeneracy_flag
-        one = full.leading(1)
-        assert one.next_eigenvalue - one.eigenvalues[1] < DEGENERACY_TOL
+            emb = energy_embedding(full, m, True)
+            assert emb.values.shape == (3000, m)
+            assert emb.degenerate
+            assert emb.degenerate == low_frequency_basis(lap, m).degeneracy_flag
 
-    def test_leading_matches_fresh_solve(self):
+    def test_embedding_cut_matches_fresh_solve(self):
         lap = normalized_laplacian(random_regular(600, 3, 4))
         full = low_frequency_basis(lap, 5)
         for m in range(6):
             fresh = low_frequency_basis(lap, m)
-            cut = full.leading(m)
-            assert cut.degeneracy_flag == fresh.degeneracy_flag
-            assert cut.next_eigenvalue == pytest.approx(fresh.next_eigenvalue, abs=1e-10)
-            assert np.allclose(cut.eigenvalues, fresh.eigenvalues, atol=1e-10)
-            assert np.allclose(cut.vectors, fresh.vectors, atol=1e-7)
+            assert energy_embedding(full, m, True).degenerate == fresh.degeneracy_flag
+            cut = energy_embedding(full, m, False).values
+            assert np.allclose(cut, energy_embedding(fresh, m, False).values, atol=1e-7)
         with pytest.raises(ValueError):
-            full.leading(6)
+            energy_embedding(full, 6, True)
 
     def test_no_extra_pair_when_basis_is_full(self):
         basis = low_frequency_basis(normalized_laplacian(path_graph(5)), 4)
@@ -640,6 +637,15 @@ class TestEnergyEmbedding:
         emb = empty_embedding(7, scaled=True)
         assert emb.values.shape == (7, 0)
         assert emb.scaled
+        assert not emb.degenerate
+
+    def test_quantizers_carry_the_flag(self, cycle3000):
+        _, full = cycle3000
+        for m, flag in ((0, False), (2, True)):
+            emb = energy_embedding(full, m, True)
+            assert emb.degenerate is flag
+            assert quantize_absolute(emb, 0.5).degenerate is flag
+            assert quantize_relative(emb, 0.5).degenerate is flag
 
     def test_sign_flip_leaves_embedding_unchanged(self):
         basis = low_frequency_basis(normalized_laplacian(random_connected_graph(42)), 2)
@@ -677,6 +683,16 @@ class TestQuantizeAbsolute:
         codes = quantize_absolute(empty_embedding(4, scaled=False), 0.5)
         assert codes.codes.shape == (4, 0)
 
+    def test_code_beyond_int64_raises_naming_eta(self):
+        # floor(9 / 1e-18) fits int64 (< 2**63 ~ 9.22e18); floor(10 / 1e-18)
+        # would wrap on the cast.
+        codes = quantize_absolute(make_embedding([[9.0], [0.5]]), 1e-18)
+        assert codes.codes[0, 0] > 0
+        with pytest.raises(ValueError, match="eta 1e-18"):
+            quantize_absolute(make_embedding([[10.0], [0.5]]), 1e-18)
+        with pytest.raises(ValueError, match="eta 1e-20"):
+            quantize_absolute(make_embedding([[0.5], [600.0]]), 1e-20)
+
 
 class TestQuantizeRelative:
     def test_step_from_max_entry(self):
@@ -699,6 +715,13 @@ class TestQuantizeRelative:
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             quantize_relative(make_embedding([[1.0]]), 0.0)
+
+    def test_code_beyond_int64_raises_naming_eta(self):
+        # The largest entry takes code round(1 / eta).
+        codes = quantize_relative(make_embedding([[0.8], [0.2]]), 1e-18)
+        assert codes.codes[0, 0] > 0
+        with pytest.raises(ValueError, match="eta 1e-20"):
+            quantize_relative(make_embedding([[0.8], [0.2]]), 1e-20)
 
     def test_halving_eta_does_not_coarsen(self):
         # Rounding makes strict monotonicity unprovable in general; these
