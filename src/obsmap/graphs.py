@@ -9,7 +9,8 @@ Every distance comes from one search kernel, _bfs: a C-level search per
 source when there are few sources or the graph's levels are many, and
 otherwise one level-synchronous pass per 64 sources, each source a bit of a
 uint64 word per vertex, so one pass over the edges per level serves them
-all. structural_stats runs that level pass directly and keeps only sums.
+all. The pass runs only on a connected graph of two or more vertices, as
+its callers, _bfs and structural_stats, first prove by one C-level search.
 """
 
 from __future__ import annotations
@@ -43,14 +44,11 @@ __all__ = [
 # Sources one level pass searches together: one bit of a uint64 word each.
 _WORD_BITS = 64
 
-# Sources per structural_stats level pass.
-_STATS_CHUNK = _WORD_BITS
-
 # _bfs packs the sources after the first into level passes when there are at
-# least _PACKED_MIN_SOURCES of them and the first search's eccentricity is at
-# most _PACKED_LEVELS_PER_SOURCE times their count: a pass costs a gather per
-# level, the alternative a search per source. On a 2-core x86-64 VM, best of
-# 3-10 runs, one level pass over S sources against S per-source searches, ms:
+# least _PACKED_MIN_SOURCES of them and at least as many as the first search's
+# eccentricity: a pass costs a gather per level, the alternative a search per
+# source. On a 2-core x86-64 VM, best of 3-10 runs, one level pass over S
+# sources against S per-source searches, ms:
 #   graph (eccentricity)  S=4         S=8         S=16        S=32        S=63
 #   cubic n=500 (11)      0.38/0.26   0.41/0.57   0.40/1.17   0.42/2.36   0.41/4.80
 #   cubic n=6000 (15)     3.56/1.26   3.50/2.63   3.52/5.38   3.53/10.8   3.63/21.2
@@ -62,7 +60,6 @@ _STATS_CHUNK = _WORD_BITS
 # breaks even only near 63 sources; the rule leaves them to the per-source
 # searches.
 _PACKED_MIN_SOURCES = 8
-_PACKED_LEVELS_PER_SOURCE = 1
 
 # Pairing-model attempts before giving up. The probability that a draw is
 # simple, and so accepted, approaches p = exp((1-r^2)/4) for large n, and all
@@ -384,48 +381,38 @@ def _search_one(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """One level-synchronous search from up to 64 sources at once.
+def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hop distances from up to 64 sources by one level-synchronous pass,
+    written into and returned as out: shape (n, len(sources)), zeroed, of a
+    dtype that holds them. g must be connected with at least two vertices,
+    as a _search_one that reached every vertex proves: then every CSR row
+    has a neighbour for reduceat (over an empty row it returns the next
+    row's first value), and the pass ends once each source has reached
+    every vertex, which on any other graph it never would.
 
     Bit j of a vertex's uint64 word stands for sources[j]. Each level ORs
     the frontier words of a vertex's neighbours (one gather of the CSR
     indices, then one bitwise_or.reduceat over the row starts) and keeps
     the bits not seen before: the plane of bits first reached at that
-    level d.
-    The distances are kept bit-sliced: each plane is ORed into counter b
-    for every set bit b of d, so bit j of counters[b][v] is bit b of the
-    distance from sources[j] to v.
-
-    Returns:
-        counters, one per bit of the largest distance, and the number of
-        levels, which is that largest distance.
-
-    Raises:
-        ConnectivityError: some source leaves a vertex unreachable. _bfs
-            packs sources only once a search has reached every vertex, so
-            there the pass cannot fail.
+    level d. Each plane is ORed into counter b for every set bit b of d, so
+    bit j of counters[b][v] is bit b of the distance from sources[j] to v.
     """
     csr = g.to_sparse()
     n = g.n
     indices = csr.indices.astype(np.intp)
-    # reduceat runs on the rows with neighbours only: over an empty row it
-    # returns the next row's first value, not 0.
-    filled = np.diff(csr.indptr) > 0
-    starts = csr.indptr[:-1][filled]
+    starts = csr.indptr[:-1]
     bits = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+    every = np.bitwise_or.reduce(bits)
     seen = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seen, sources, bits)
     frontier = seen.copy()
-    plane = np.zeros(n, dtype=np.uint64)
+    plane = np.empty(n, dtype=np.uint64)
     unseen = np.empty(n, dtype=np.uint64)
     counters: list[np.ndarray] = []
     levels = 0
-    while starts.size:
-        plane[:] = 0
-        plane[filled] = np.bitwise_or.reduceat(frontier.take(indices), starts)
+    while seen.min() != every:
+        np.bitwise_or.reduceat(frontier.take(indices), starts, out=plane)
         np.bitwise_and(plane, np.invert(seen, out=unseen), out=plane)
-        if not plane.any():
-            break
         levels += 1
         np.bitwise_or(seen, plane, out=seen)
         if levels == 1 << len(counters):
@@ -434,37 +421,15 @@ def _packed_levels(g: Graph, sources: np.ndarray) -> tuple[list[np.ndarray], int
             if levels >> b & 1:
                 np.bitwise_or(counter, plane, out=counter)
         frontier, plane = plane, frontier
-    if np.bitwise_and(np.invert(seen), np.bitwise_or.reduce(bits)).any():
-        raise ConnectivityError("graph is not connected")
-    return counters, levels
-
-
-# Set bits per byte value; np.bitwise_count needs numpy 2.
-_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount(words: np.ndarray) -> int:
-    """The number of set bits in a uint64 array."""
-    return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum(dtype=np.int64))
-
-
-def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from up to 64 sources by one _packed_levels pass,
-    shape (n, len(sources)), written into out (zeroed, of a dtype that
-    holds them) or else into a new array of the smallest unsigned dtype
-    that holds them."""
-    counters, levels = _packed_levels(g, sources)
-    if out is None:
-        out = np.zeros((g.n, len(sources)), dtype=np.min_scalar_type(levels))
     for b, counter in enumerate(counters):
         # Byte i of a little-endian word holds bits 8i..8i+7, so unpacking
         # each word's bytes little-end first puts bit j of word v at [v, j].
-        octets = counter.astype("<u8", copy=False).view(np.uint8).reshape(g.n, 8)
-        bits = np.unpackbits(octets, axis=1, count=len(sources), bitorder="little")
-        bits = bits.astype(out.dtype, copy=False)  # wider only past distance 255
-        np.multiply(bits, out.dtype.type(1 << b), out=bits)
-        np.bitwise_or(out, bits, out=out)
-        del bits  # so the next counter's bits are not unpacked beside these
+        octets = counter.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+        unpacked = np.unpackbits(octets, axis=1, count=len(sources), bitorder="little")
+        unpacked = unpacked.astype(out.dtype, copy=False)  # wider only past distance 255
+        np.multiply(unpacked, out.dtype.type(1 << b), out=unpacked)
+        np.bitwise_or(out, unpacked, out=out)
+        del unpacked  # so the next counter's bits are not unpacked beside these
     return out
 
 
@@ -475,11 +440,11 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
 
     The first source is searched alone (_search_one), and its eccentricity
     decides the rest: when they number at least _PACKED_MIN_SOURCES and at
-    least that eccentricity over _PACKED_LEVELS_PER_SOURCE, all sources,
-    the first again, are searched 64 to a level pass (_packed_search),
-    whose cost grows with the levels, not the sources; otherwise each is
-    searched alone as well. Each search writes its own columns of one
-    result array.
+    least that eccentricity, which must be positive (the first search proved
+    the graph connected, and this that it has two vertices), all sources,
+    the first again, are searched 64 to a level pass (_packed_search), whose
+    cost grows with the levels, not the sources; otherwise each is searched
+    alone as well. Each search writes its own columns of one result array.
 
     Raises:
         ConnectivityError: naming the first source, in the given order, that
@@ -494,7 +459,7 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
     # its eccentricity; the result narrows to the largest one found.
     dist = np.zeros((g.n, sources.size), dtype=np.min_scalar_type(2 * eccentricity))
     rest = sources.size - 1
-    if rest >= _PACKED_MIN_SOURCES and eccentricity <= rest * _PACKED_LEVELS_PER_SOURCE:
+    if rest >= _PACKED_MIN_SOURCES and 0 < eccentricity <= rest:
         # From column 0, so a pass over every source writes whole rows.
         for start in range(0, sources.size, _WORD_BITS):
             stop = start + _WORD_BITS
@@ -547,14 +512,19 @@ def structural_stats(g: Graph) -> GraphStats:
     if g.n < 2:
         raise ValueError("structural statistics need at least two vertices")
     degs = g.degrees().astype(np.float64)
-    # One level pass per 64 sources; the distance total is exact, so the
-    # mean equals the mean over the dense upper triangle.
-    diameter = 0
-    distance_total = 0
-    for start in range(0, g.n, _STATS_CHUNK):
-        counters, levels = _packed_levels(g, np.arange(start, min(start + _STATS_CHUNK, g.n)))
-        diameter = max(diameter, levels)
-        distance_total += sum(_popcount(counter) << b for b, counter in enumerate(counters))
+    # One search proves the graph connected, as each level pass needs, and
+    # bounds every distance by twice its eccentricity. The exact total of
+    # each pass's chunk of distances makes the mean the dense one.
+    eccentricity = int(_search_one(g, 0).max())
+    chunk = np.empty((g.n, _WORD_BITS), dtype=np.min_scalar_type(2 * eccentricity))
+    diameter = distance_total = 0
+    for start in range(0, g.n, _WORD_BITS):
+        sources = np.arange(start, min(start + _WORD_BITS, g.n))
+        dist = chunk[:, : sources.size]
+        dist.fill(0)
+        _packed_search(g, sources, dist)
+        diameter = max(diameter, int(dist.max()))
+        distance_total += int(dist.sum(dtype=np.int64))
     pair_count = g.n * (g.n - 1) // 2
     tri = _triangles_per_vertex(g)
 

@@ -418,14 +418,15 @@ class _GraphCodes:
     Every m is cut by energy_embedding from a single eigensolve at m_max,
     the largest m the caller needs, solved on first use, so m=0 work never
     pays it. Each code table (m, eta, quantizer, scaled) is built once and
-    carries its own degeneracy flag.
+    carries its own degeneracy flag; one that fails is kept as its
+    exception.
     """
 
     def __init__(self, g: Graph, m_max: int) -> None:
         self.g = g
         self.m_max = m_max
         self._basis: SpectralBasis | None = None
-        self._codes: dict[tuple, QuantizedCodes] = {}
+        self._codes: dict[tuple, QuantizedCodes | Exception] = {}
 
     def basis(self) -> SpectralBasis:
         """The bottom m_max+1 eigenpairs, solved on the first call."""
@@ -433,14 +434,20 @@ class _GraphCodes:
             self._basis = low_frequency_basis(normalized_laplacian(self.g), self.m_max)
         return self._basis
 
-    def get(self, m: int, eta: float, quantizer: str, scaled: bool) -> QuantizedCodes:
+    def get(self, m: int, eta: float, quantizer: str,
+            scaled: bool) -> QuantizedCodes | Exception:
         """The code table of one spectral configuration, flagged as its
-        embedding is."""
+        embedding is, or the exception that failed it; either is built once."""
         key = (m, eta, quantizer, scaled)
         if key not in self._codes:
-            emb = energy_embedding(self.basis(), m, scaled) if m else empty_embedding(self.g.n, scaled)
             quantize = quantize_absolute if quantizer == "absolute" else quantize_relative
-            self._codes[key] = quantize(emb, eta)
+            try:
+                emb = (energy_embedding(self.basis(), m, scaled) if m
+                       else empty_embedding(self.g.n, scaled))
+                self._codes[key] = quantize(emb, eta)
+            except Exception as exc:
+                # Kept without its traceback, whose frames would hold self.
+                self._codes[key] = exc.with_traceback(None)
         return self._codes[key]
 
     def rows(
@@ -454,8 +461,9 @@ class _GraphCodes:
         each of its sets searches alone, failing with its own message.
         Farthest sets take their columns from _farthest. Each stage is built
         once for the consecutive rows sharing it, after the row's code
-        table (a row where both fail yields the table's failure), and a
-        failed stage is yielded, never raised, as one exception object.
+        table; a row whose table failed builds no stage and yields the
+        table's failure. A failed table or stage is yielded, never raised,
+        as one exception object.
         Timing each request charges the first row with every draw, and a
         row with the table and stage it first builds and the joint search
         its set starts."""
@@ -465,9 +473,12 @@ class _GraphCodes:
         chunk: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
         built = stage = None
         for point, key in zip(points, keys):
+            codes = self.get(point.effective_dims()[1], float(point.eta),
+                             point.quantizer, point.scaled)
+            if isinstance(codes, Exception):
+                yield codes
+                continue
             try:
-                codes = self.get(point.effective_dims()[1], float(point.eta),
-                                 point.quantizer, point.scaled)
                 if key != built:
                     built, stage = key, None  # release the old stage before building
                     stage = self._build_stage(key, drawn, chunk)
@@ -952,28 +963,6 @@ _SWEEP_KEYS = {
 }
 
 
-# How a config value becomes a field, keyed by the field's SweepConfig
-# annotation as written, and what a value that does not parse needs to be.
-_PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
-    "Sequence[int]": (lambda v: tuple(int(t) for t in _tokens(v)), "integers"),
-    "Sequence[str]": (lambda v: tuple(_tokens(v)), "a list"),
-    "Sequence[bool]": (lambda v: tuple(_parse_bool(t) for t in _tokens(v)), "true or false"),
-    "int": (lambda v: int(v.strip('"')), "an integer"),
-}
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def _tokens(value: str) -> list[str]:
     value = value.strip()
     if value.startswith("[") and value.endswith("]"):
@@ -987,13 +976,15 @@ def parse_sweep_config(text: str, flags: Mapping[str, object] | None = None) -> 
     keyed by field name, override the fields the text sets.
 
     One `key = value` per line; `#` starts a comment; list values are
-    bracketed or bare comma lists. eta values keep their exact decimal
-    spelling. Unknown keys are rejected.
+    bracketed or bare comma lists. Each axis token reads as its CSV column
+    does, so eta values keep their exact decimal spelling; trials,
+    resamples and seed read as integers. Unknown keys and values that do
+    not read are rejected, naming the line.
     """
-    types = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
+    decoders = {column: decode for column, _, decode, _ in _CSV_CODECS}
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -1006,11 +997,16 @@ def parse_sweep_config(text: str, flags: Mapping[str, object] | None = None) -> 
         if key not in _SWEEP_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         field = _SWEEP_KEYS[key]
-        parse, needs = _PARSERS[types[field]]
-        try:
-            fields[field] = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {key} needs {needs}") from exc
+        axis = field.endswith("_list")
+        decode = decoders[field.removesuffix("_list")] if axis else int
+        values = []
+        for token in _tokens(value) if axis else [value.strip('"')]:
+            try:
+                values.append(decode(token))
+            except ValueError:
+                raise ValueError(
+                    f"config line {lineno}: {key}: cannot read {token!r}") from None
+        fields[field] = tuple(values) if axis else values[0]
     fields.update(flags or {})
     for field in ("n_list", "k_list", "m_list", "eta_list"):
         if field not in fields:

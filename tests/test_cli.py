@@ -135,8 +135,9 @@ class TestGraphStats:
     def test_disconnected_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("a b\nc d\n")
-        code, _, _ = run_cli(capsys, "graph-stats", "--graph", str(path))
+        code, _, err = run_cli(capsys, "graph-stats", "--graph", str(path))
         assert code == 1
+        assert "unreachable from source 0" in err
 
     def test_lcc_keeps_largest_component(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
@@ -542,7 +543,7 @@ class TestSweep:
         code, _, err = run_cli(
             capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "config line 5: scaled needs true or false" in err
+        assert "config line 5: scaled: cannot read 'maybe'" in err
 
     def test_bad_scaled_flag_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

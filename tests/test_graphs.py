@@ -3,6 +3,7 @@ oracles."""
 
 from __future__ import annotations
 
+import contextlib
 import re
 from typing import NamedTuple
 
@@ -284,8 +285,9 @@ class TestBfsMatchesShortestPath:
 
         if g.n < 2:
             return
-        if np.isinf(ref).any():
-            with pytest.raises(ConnectivityError, match="^graph is not connected$"):
+        message = unreachable_message(ref[[0]], [0])
+        if message is not None:
+            with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
                 structural_stats(g)
         else:
             upper = ref[np.triu_indices(g.n, k=1)]
@@ -298,10 +300,9 @@ class TestPackedSearchMatchesShortestPath:
     """_bfs, which packs the sources after the first up to 64 to a level
     pass, and the level pass itself, against csgraph's unweighted shortest
     paths: source counts on both sides of the packing rule and at the
-    64-source chunk edges, repeated sources, isolated vertices (where an
-    unguarded reduceat would read the next row) and one vertex. _bfs names
-    the first failing source; the level pass, which _bfs only runs on a
-    connected graph, says that the graph is not connected."""
+    64-source chunk edges, repeated sources, isolated vertices and one
+    vertex. _bfs names the first failing source; the level pass runs only
+    on connected graphs with two or more vertices, where it is tested."""
 
     COUNTS = (
         1, 2, graphs._PACKED_MIN_SOURCES, graphs._PACKED_MIN_SOURCES + 1, 40, 63, 64, 65, 129,
@@ -312,18 +313,21 @@ class TestPackedSearchMatchesShortestPath:
     def test_against_csgraph(self, g, count, seed):
         ref = shortest_path(g.to_sparse(), unweighted=True)
         sources = np.random.default_rng(seed).integers(0, g.n, count).tolist()
+        message = unreachable_message(ref[sources], sources)
+        if message is None:
+            dist = graphs._bfs(g, np.array(sources))
+            assert dist.dtype == np.min_scalar_type(int(ref[sources].max()))
+            assert dist.T.tolist() == ref[sources].astype(np.int64).tolist()
+        else:
+            with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+                graphs._bfs(g, np.array(sources))
+        if g.n < 2 or np.isinf(ref).any():
+            return
         packed = sources[:64]
-        for search, chosen in ((graphs._bfs, sources), (graphs._packed_search, packed)):
-            message = unreachable_message(ref[chosen], chosen)
-            if message is not None and search is graphs._packed_search:
-                message = "graph is not connected"
-            if message is None:
-                dist = search(g, np.array(chosen))
-                assert dist.dtype == np.min_scalar_type(int(ref[chosen].max()))
-                assert dist.T.tolist() == ref[chosen].astype(np.int64).tolist()
-            else:
-                with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
-                    search(g, np.array(chosen))
+        expected = ref[packed].T.astype(np.int64)
+        out = np.zeros(expected.shape, dtype=np.min_scalar_type(int(expected.max())))
+        assert graphs._packed_search(g, np.array(packed), out) is out
+        assert out.tolist() == expected.tolist()
 
     def test_distances_past_255_widen_the_dtype(self):
         g = path_graph(600)
@@ -332,20 +336,28 @@ class TestPackedSearchMatchesShortestPath:
         assert every.dtype == np.uint16
         assert np.array_equal(every, ref)
         sparse = np.arange(0, 600, 10)
-        packed = graphs._packed_search(g, sparse)
-        assert packed.dtype == np.uint16
+        packed = graphs._packed_search(g, sparse, np.zeros((600, sparse.size), dtype=np.uint16))
         assert np.array_equal(packed, ref[:, sparse])
         near = graphs._bfs(g, [300, 301])  # each searched alone; eccentricity 300
         assert near.dtype == np.uint16
         assert np.array_equal(near, ref[:, [300, 301]])
         assert graphs._bfs(path_graph(200), [0, 5]).dtype == np.uint8
 
-    def test_isolated_vertex_is_never_reached(self):
-        # Vertex 2 has an empty CSR row, right before vertex 3's.
+    def test_isolated_vertex_is_never_reached(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a level pass ran on a disconnected graph")
+
+        monkeypatch.setattr(graphs, "_packed_search", refuse)
+        # Vertex 2 has an empty CSR row, right before vertex 3's. Nine
+        # sources and eccentricity 3 would pass the packing rule.
         g = graph_from_edges(5, [(0, 1), (1, 3), (3, 4)])
-        for sources in ([0, 4], [2, 4]):
-            with pytest.raises(ConnectivityError, match="^graph is not connected$"):
-                graphs._packed_search(g, np.array(sources))
+        cases = (([0, 4, 1, 3, 0, 4, 1, 3, 0], "vertex 2 unreachable from source 0"),
+                 ([2, 4, 1, 3, 0, 4, 1, 3, 0], "vertex 0 unreachable from source 2"))
+        for sources, message in cases:
+            with pytest.raises(ConnectivityError, match=f"^{message}$"):
+                graphs._bfs(g, sources)
+        with pytest.raises(ConnectivityError, match="^vertex 2 unreachable from source 0$"):
+            structural_stats(g)
 
     @pytest.mark.parametrize("edges", [
         [(i, (i + 1) % 20) for i in range(20)] + [(20 + i, 20 + (i + 1) % 20) for i in range(20)],
@@ -358,10 +370,34 @@ class TestPackedSearchMatchesShortestPath:
         message = unreachable_message(ref[sources], sources)
         with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
             graphs._bfs(g, sources)
-        with pytest.raises(ConnectivityError, match="^graph is not connected$"):
-            graphs._packed_search(g, np.array(sources))
-        with pytest.raises(ConnectivityError, match="^graph is not connected$"):
+        message = unreachable_message(ref[[0]], [0])
+        with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
             structural_stats(g)
+
+    @given(graphs_of_every_shape(), st.sampled_from(COUNTS), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_level_pass_runs_only_on_connected_graphs(self, g, count, seed):
+        """Every level pass that _bfs or structural_stats runs is on a
+        connected graph with two or more vertices; structural_stats runs
+        one on every such graph."""
+        passes = []
+        search = graphs._packed_search
+
+        def checked(h, sources, out):
+            assert h.n >= 2 and connected_components(h.to_sparse())[0] == 1
+            passes.append(len(sources))
+            return search(h, sources, out)
+
+        sources = np.random.default_rng(seed).integers(0, g.n, count).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_packed_search", checked)
+            with contextlib.suppress(ConnectivityError):
+                graphs._bfs(g, sources)
+            passes.clear()
+            with contextlib.suppress(ConnectivityError, ValueError):
+                structural_stats(g)
+        if g.n >= 2 and connected_components(g.to_sparse())[0] == 1:
+            assert sum(passes) == g.n
 
     def test_structural_stats_past_255_levels(self):
         s = structural_stats(path_graph(600))
@@ -831,7 +867,7 @@ class TestStructuralStats:
         dense = shortest_path(g.to_sparse(), unweighted=True)
         upper = dense[np.triu_indices(g.n, k=1)]
         whole = structural_stats(g)
-        monkeypatch.setattr(graphs, "_STATS_CHUNK", 7)  # smaller than n
+        monkeypatch.setattr(graphs, "_WORD_BITS", 7)  # sources per pass, smaller than n
         chunked = structural_stats(g)
         assert chunked == whole
         assert chunked.diameter == int(upper.max())

@@ -4,12 +4,14 @@ and the anchor-threshold table."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import os
 import re
 import subprocess
 import sys
 import traceback
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +546,55 @@ class TestOneSolvePerGraph:
         assert counts["solve"] == 3
         # one table per (m, eta) per graph, shared by every k and resample
         assert counts["quantize"] == 3 * 4 * 2
+
+    def test_failed_code_table_is_built_once_per_graph(self, monkeypatch):
+        counts = {"embed": 0, "quantize": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "energy_embedding",
+                            counting("embed", harness.energy_embedding))
+        monkeypatch.setattr(harness, "quantize_absolute",
+                            counting("quantize", harness.quantize_absolute))
+        res = run_sweep(self.config(k_list=(1, 2, 4), m_list=(0, 2), eta_list=("1e-20", "0.5"),
+                                    trials=2, seed=0))
+        failed = [r for r in res.records if r.failure is not None]
+        assert len(res.records) == 48 and len(failed) == 12
+        assert all((r.m, r.eta) == (2, "1e-20") for r in failed)
+        # one table per (m, eta) per graph, the failing one included
+        assert counts == {"embed": 2 * 2, "quantize": 2 * 4}
+
+    def test_failed_table_yields_one_exception_whose_traceback_does_not_grow(
+            self, monkeypatch):
+        def forbidden(profile):
+            raise AssertionError("anchor stage built for a row whose table failed")
+
+        monkeypatch.setattr(harness, "anchor_stage", forbidden)
+        points = [point(n=500, k=k, m=2, eta="1e-20", resample=i)
+                  for k in (1, 2, 4) for i in (0, 1)]
+        rows = harness._GraphCodes(random_regular(500, 3, 1), 2).rows(points, 7)
+        first = next(rows)
+        assert isinstance(first, ValueError) and "eta 1e-20" in str(first)
+        frames = len(traceback.extract_tb(first.__traceback__))
+        rest = list(rows)
+        assert len(rest) == 5 and all(failure is first for failure in rest)
+        assert len(traceback.extract_tb(first.__traceback__)) == frames
+
+    def test_failed_table_does_not_keep_its_graph_codes_alive(self):
+        graph_codes = harness._GraphCodes(random_regular(40, 3, 1), 2)
+        (failure,) = graph_codes.rows([point(n=40, m=2, eta="1e-20")], 7)
+        assert isinstance(failure, ValueError)
+        alive = weakref.ref(graph_codes)
+        gc.disable()  # freed by reference counting alone, with no cycle to collect
+        try:
+            del graph_codes
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_quantizer_axis_matches_single_quantizer_sweeps(self, monkeypatch):
         counts = dict.fromkeys(("random_regular", "low_frequency_basis"), 0)
@@ -1155,7 +1206,7 @@ class TestParseSweepConfig:
         assert cfg.scaled_list == (True, False)
         assert cfg.feature_list == ("distance",)
         assert cfg.anchor_strategy_list == ("degree", "farthest")
-        with pytest.raises(ValueError, match="line 5: scaled needs true or false"):
+        with pytest.raises(ValueError, match="^config line 5: scaled: cannot read 'maybe'$"):
             parse_sweep_config("n=16\nk=1\nm=0\neta=0.1\nscaled = [true, maybe]\n")
 
     def test_unknown_key_rejected(self):
@@ -1169,6 +1220,20 @@ class TestParseSweepConfig:
     def test_line_number_in_errors(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_sweep_config("n=16\nk=one\nm=0\neta=0.1\n")
+
+    @pytest.mark.parametrize("key, value, token", [
+        ("n", "[16, many]", "many"), ("r", "three", "three"), ("k", "[one]", "one"),
+        ("m", "1.5", "1.5"), ("eta", "[abc]", "abc"), ("eta", "[0.1, -1]", "-1"),
+        ("quantizer", "[absolut]", "absolut"), ("scaled", "maybe", "maybe"),
+        ("feature", "[ful]", "ful"), ("strategy", "[random, farther]", "farther"),
+        ("anchor_strategy_list", "nearest", "nearest"), ("trials", "[5]", "[5]"),
+        ("resamples", "2.0", "2.0"), ("seed", "s", "s"),
+    ])
+    def test_bad_value_names_line_and_key(self, key, value, token):
+        text = f"n=16\nk=1\nm=0\neta=0.1\n# note\n\n{key} = {value}  # bad\n"
+        message = f"config line 7: {key}: cannot read {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sweep_config(text)
 
     def test_value_errors_surface_from_config(self):
         with pytest.raises(ValueError):
