@@ -29,14 +29,14 @@ from .graphs import (
 )
 from .observation import (
     AnchorStage,
+    BoundReport,
     BucketDiagnostics,
     FiberStats,
-    ObservationTable,
     anchor_stage,
     build_observation,
     bucket_diagnostics,
+    evaluate_rows,
     fiber_stats,
-    refine_observation,
     sequential_sum,
 )
 from .spectral import (
@@ -50,7 +50,7 @@ from .spectral import (
     quantize_absolute,
     quantize_relative,
 )
-from .theory import BoundReport, bound_report, rho_eng
+from .theory import bound_report, rho_eng
 
 __all__ = [
     "QUANTIZERS",
@@ -106,6 +106,22 @@ _AGGREGATED_METRICS = (
     "weighted_collision", "median_code_ratio", "q90_balance",
     "generic_bound", "refined_bound",
 )
+
+# Vertex-rows one evaluate_rows batch holds at most: _GraphCodes.rows hands
+# it as many consecutive rows as fit, and at least one: 32 rows at n = 500,
+# 8 at 2000, 2 at 6000 and one from n = 16 384 up, so a large graph holds no
+# more than one row's arrays at a time. On a 2-core x86-64 VM, best of 10 to
+# 200 runs, ms for 48 rows of one cubic graph (6 anchor sets x 8 code
+# tables) with their records, in batches of B rows, against each row refined
+# into its own table and evaluated alone (alone):
+#   n       B=1   B=2   B=4   B=8   B=16  B=32  B=48  alone
+#   500     7.6   4.7   3.2   2.4   2.0   1.9   2.0   4.3
+#   2000    9.8   6.8   5.2   5.0   5.7   5.8   6.3   8.3
+#   6000    15.0  13.1  11.4  12.3  11.9  11.9  16.1  16.4
+#   20000   32.6  31.3  30.4  29.7  37.1  45.0  43.2  49.8
+# Past about 16 000 vertex-rows a batch gains little, and it loses at large
+# n, where rows padded and sorted together cost more than they save.
+_BATCH_VERTEX_ROWS = 1 << 14
 
 # Distinct anchors one joint search covers at most. _GraphCodes holds one
 # search's distances, n x this many small unsigned integers (384 KB at
@@ -463,30 +479,38 @@ class _GraphCodes:
         once for the consecutive rows sharing it, after the row's code
         table; a row whose table failed builds no stage and yields the
         table's failure. A failed table or stage is yielded, never raised,
-        as one exception object.
-        Timing each request charges the first row with every draw, and a
-        row with the table and stage it first builds and the joint search
-        its set starts."""
-        keys = [(p.effective_dims()[0], p.anchor_strategy,
-                 anchor_seed_for(seed, p.k, p.anchor_strategy, p.resample)) for p in points]
+        as one exception object. The other rows go to evaluate_rows in
+        batches of consecutive rows, as many as fit _BATCH_VERTEX_ROWS
+        vertex-rows and at least one; a failed row ends the batch before it.
+        Timing each request charges the first row with every draw, and the
+        first row of a batch with its evaluation and with the tables,
+        stages and joint searches its rows first build."""
+        ids = [(p.k, p.anchor_strategy, p.resample) for p in points]
+        seeds = {i: anchor_seed_for(seed, *i) for i in dict.fromkeys(ids)}
+        keys = [(p.effective_dims()[0], p.anchor_strategy, seeds[i])
+                for p, i in zip(points, ids)]
         drawn = {key: self._draw(*key) for key in dict.fromkeys(keys)}
         chunk: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
+        per_batch = max(_BATCH_VERTEX_ROWS // self.g.n, 1)
+        batch: list[tuple[AnchorStage, QuantizedCodes]] = []
         built = stage = None
         for point, key in zip(points, keys):
             codes = self.get(point.effective_dims()[1], float(point.eta),
                              point.quantizer, point.scaled)
-            if isinstance(codes, Exception):
-                yield codes
+            if not isinstance(codes, Exception) and key != built:
+                built, stage = key, None  # release the old stage before building
+                stage = self._build_stage(key, drawn, chunk)
+            failure = codes if isinstance(codes, Exception) else stage
+            if isinstance(failure, Exception):
+                yield from _evaluated(batch)
+                batch = []
+                yield failure
                 continue
-            try:
-                if key != built:
-                    built, stage = key, None  # release the old stage before building
-                    stage = self._build_stage(key, drawn, chunk)
-                # Yielded unbound, so no report outlives its row.
-                yield stage if isinstance(stage, Exception) else _report(
-                    refine_observation(stage, codes), codes)
-            except Exception as exc:
-                yield exc
+            batch.append((stage, codes))
+            if len(batch) == per_batch:
+                yield from _evaluated(batch)
+                batch = []
+        yield from _evaluated(batch)
 
     def _draw(self, k: int, strategy: str, seed: int) -> AnchorSet | Exception | None:
         """A random or degree anchor set, or the exception that failed its
@@ -544,21 +568,25 @@ class _GraphCodes:
         return {later: (distances, columns) for later, columns in members.items()}
 
 
-def _report(obs: ObservationTable, codes: QuantizedCodes) -> InstanceReport:
-    return InstanceReport(
-        stats=fiber_stats(obs),
-        diagnostics=bucket_diagnostics(obs),
-        bounds=bound_report(obs, codes),
-        codebook=codebook_size(codes),
-        degenerate=codes.degenerate,
-    )
+def _evaluated(batch: list[tuple[AnchorStage, QuantizedCodes]]) -> list[InstanceReport | Exception]:
+    """Each (stage, codes) row's InstanceReport from one evaluate_rows call;
+    an evaluation that fails is every row's failure."""
+    try:
+        evaluated = evaluate_rows([(stage, codes.groups) for stage, codes in batch])
+        return [InstanceReport(*report, codebook_size(codes), codes.degenerate)
+                for report, (_, codes) in zip(evaluated, batch)]
+    except Exception as exc:
+        return [exc] * len(batch)
 
 
 def evaluate_instance(g: Graph, anchors: AnchorSet, codes: QuantizedCodes) -> InstanceReport:
     """Observation table statistics, bucket diagnostics, and bounds for one
     fully specified instance; the report is degenerate when the codes are,
-    that is when their basis has near-degenerate eigenvalues at their m."""
-    return _report(build_observation(g, anchors, codes), codes)
+    that is when their basis has near-degenerate eigenvalues at their m.
+    The table's diagnostics are its one row of evaluate_rows."""
+    table = build_observation(g, anchors, codes)
+    return InstanceReport(fiber_stats(table), bucket_diagnostics(table),
+                          bound_report(table, codes), codebook_size(codes), codes.degenerate)
 
 
 def _records(graph_codes: _GraphCodes, points: Sequence[ConfigPoint],
@@ -607,8 +635,10 @@ def _record(point: ConfigPoint, seed: int, report: InstanceReport, wall_ms: floa
 
 
 def _point_identity(point: ConfigPoint) -> dict:
-    """The identity fields of a TrialRecord, which are ConfigPoint's fields."""
-    return {f.name: getattr(point, f.name) for f in dataclasses.fields(point)}
+    """The identity fields of a TrialRecord, which are ConfigPoint's fields:
+    the names in its __match_args__, which dataclass sets to its fields in
+    order, read without the walk dataclasses.fields makes on every call."""
+    return {name: getattr(point, name) for name in ConfigPoint.__match_args__}
 
 
 def _failure_record(point: ConfigPoint, seed: int, reason: str) -> TrialRecord:
@@ -663,7 +693,8 @@ def _run_job(
     """Execute all points sharing one graph (n, r, trial).
 
     The points of one anchor set run together, so its anchor stage is built
-    once and dropped before the next; records keep their indices.
+    once and dropped with the last batch of rows that reads it; records
+    keep their indices.
     """
     gseed = graph_seed_for(master_seed, n, r, trial)
     try:

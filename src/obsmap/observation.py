@@ -1,5 +1,6 @@
 """Observation tables: joint anchor-distance / spectral-code fibers,
-identifiability statistics, and per-bucket collision diagnostics.
+identifiability statistics, per-bucket collision diagnostics and the
+counting bounds.
 
 A vertex's observation is the pair (distance profile, code row). Vertices
 sharing a full observation form a fiber; vertices sharing just the distance
@@ -7,20 +8,20 @@ profile form a bucket, so the spectral codes refine the buckets. The best
 possible reconstruction answers one vertex per fiber, which makes the
 optimal error 1 - (number of fibers) / n.
 
-A table is built in two stages, each at most one call of the grouping
-kernel over an int64 matrix. The anchor stage groups the profile matrix into
-buckets; it depends only on the graph and the anchors, so one stage serves
-every code table. The refinement stage groups bucket ids beside the code
-ids of the code table, whose rows are grouped once per table, into fibers.
-Every statistic is computed from group ids and sizes, and bucket aggregates
-are built only when a caller reads them.
+One grouping kernel over an int64 matrix groups the vertices into buckets,
+once per anchor set (the anchor stage), and into code classes, once per
+code table. evaluate_rows takes a batch of rows of one graph, each a stage
+beside a table's classes, and one sort of their packed (bucket, class) keys
+gives every row's fiber statistics, bucket diagnostics and bound report.
+A table from refine_observation also groups its fibers, for the decoder
+that checks them, and reaches evaluate_rows with one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -36,10 +37,12 @@ __all__ = [
     "FiberStats",
     "BucketLevel",
     "BucketDiagnostics",
+    "BoundReport",
     "BUCKET_CUTOFFS",
     "anchor_stage",
     "refine_observation",
     "build_observation",
+    "evaluate_rows",
     "fiber_stats",
     "min_id_section",
     "section_success",
@@ -158,12 +161,14 @@ class AnchorStage:
 
 @dataclass(frozen=True, eq=False)
 class ObservationTable:
-    """Per-vertex observations with their fiber and bucket partitions.
+    """Per-vertex observations with their fiber, bucket and code-class
+    partitions.
 
     profile_matrix (n, k) and code_matrix (n, m) hold each vertex's distance
     profile and code row, its observation being the two rows side by side;
-    fiber_groups partitions the vertices by the full observation and
-    bucket_groups by the profile alone.
+    fiber_groups partitions the vertices by the full observation,
+    bucket_groups by the profile alone and class_groups by the code row
+    alone.
     """
 
     n: int
@@ -171,37 +176,14 @@ class ObservationTable:
     code_matrix: np.ndarray
     fiber_groups: Groups
     bucket_groups: Groups
+    class_groups: Groups
 
     @cached_property
     def diagnostics(self) -> BucketDiagnostics:
-        """bucket_diagnostics of this table, computed on first read."""
-        buckets = self.bucket_groups
-        fibers = self.fiber_groups
-        # Every fiber lies in one bucket; its code classes are that bucket's.
-        fiber_bucket = buckets.ids[fibers.first]
-        code_count = np.bincount(fiber_bucket, minlength=len(buckets))
-        c = fibers.sizes
-        same = np.bincount(fiber_bucket, weights=c * (c - 1), minlength=len(buckets))
-        largest = np.zeros(len(buckets), dtype=np.int64)
-        np.maximum.at(largest, fiber_bucket, c)
-
-        # Non-singleton buckets in first-appearance order.
-        multi = np.flatnonzero(buckets.sizes > 1)
-        size = buckets.sizes[multi]
-        code_count = code_count[multi]
-        collision = same[multi] / (size * (size - 1))
-        balance = (code_count / size) * largest[multi]
-
-        return BucketDiagnostics(
-            n=self.n,
-            profile_matrix=self.profile_matrix,
-            firsts=buckets.first[multi],
-            sizes=size,
-            code_counts=code_count,
-            collisions=collision,
-            balances=balance,
-            singleton_vertex_fraction=int(np.count_nonzero(buckets.sizes == 1)) / self.n,
-        )
+        """bucket_diagnostics of this table, computed on first read: the
+        table's buckets and code classes as one row of evaluate_rows."""
+        stage = AnchorStage(profile_matrix=self.profile_matrix, bucket_groups=self.bucket_groups)
+        return evaluate_rows([(stage, self.class_groups)])[0][1]
 
 
 @dataclass(frozen=True)
@@ -251,7 +233,8 @@ class BucketDiagnostics:
 
     Built on first read: profiles (B, k), each bucket's distance profile
     (rows of profile_matrix, the table's (n, k) matrix); level(cutoff), the
-    BucketLevel of one cutoff in BUCKET_CUTOFFS; levels, all of them in order.
+    BucketLevel of one cutoff in BUCKET_CUTOFFS (evaluate_rows fills in
+    cutoff 2); levels, all of them in order.
     """
 
     n: int
@@ -272,12 +255,35 @@ class BucketDiagnostics:
         if cutoff not in BUCKET_CUTOFFS:
             raise KeyError(f"no aggregate at cutoff {cutoff}")
         if cutoff not in self._levels:
-            self._levels[cutoff] = _bucket_level(self, cutoff)
+            (self._levels[cutoff],) = _bucket_levels(
+                self.n, [0, self.sizes.size], self.sizes, self.code_counts,
+                self.collisions, self.balances, cutoff)
         return self._levels[cutoff]
 
     @cached_property
     def levels(self) -> tuple[BucketLevel, ...]:
         return tuple(self.level(cutoff) for cutoff in BUCKET_CUTOFFS)
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Measured image size against its counting bounds.
+
+    profile_bound is the measured number of attained distance profiles D;
+    generic_bound is D times the codebook size; refined_bound is
+    D * (1 + beta_hat / coll_hat) with beta_hat the largest bucket balance
+    and coll_hat the smallest non-singleton bucket collision. refined_bound
+    and refined_satisfied are None when no non-singleton bucket exists or
+    some non-singleton bucket has zero collision (the substitution is then
+    undefined or vacuous).
+    """
+
+    image_size: int
+    profile_bound: int
+    generic_bound: int
+    generic_satisfied: bool
+    refined_bound: float | None
+    refined_satisfied: bool | None
 
 
 def anchor_stage(profile_matrix: np.ndarray) -> AnchorStage:
@@ -312,6 +318,7 @@ def refine_observation(stage: AnchorStage, codes: QuantizedCodes) -> Observation
         code_matrix=codes.codes,
         fiber_groups=fibers,
         bucket_groups=buckets,
+        class_groups=classes,
     )
 
 
@@ -327,19 +334,19 @@ def build_observation(
     return refine_observation(anchor_stage(anchor_profile(g, anchors)), codes)
 
 
+def _fiber_stats(n: int, image: int, square_sum: int, singletons: int) -> FiberStats:
+    """FiberStats of n vertices in image fibers, given the sum of squared
+    fiber sizes and the number of one-vertex fibers."""
+    return FiberStats(image, image / n, 1.0 - image / n, square_sum / n, singletons / n)
+
+
 def fiber_stats(table: ObservationTable) -> FiberStats:
-    """Fiber statistics; .error is the optimal exact-recovery error
-    1 - |image|/n, the floor no decoder of the observation can beat."""
+    """Fiber statistics of the table's fiber partition; .error is the
+    optimal exact-recovery error 1 - |image|/n, the floor no decoder of the
+    observation can beat."""
     sizes = table.fiber_groups.sizes
-    image = len(table.fiber_groups)
-    n = table.n
-    return FiberStats(
-        image_size=image,
-        success=image / n,
-        error=1.0 - image / n,
-        vertex_mean_preimage=int(np.dot(sizes, sizes)) / n,
-        singleton_fraction=int(np.count_nonzero(sizes == 1)) / n,
-    )
+    return _fiber_stats(table.n, len(sizes), int(np.dot(sizes, sizes)),
+                        int(np.count_nonzero(sizes == 1)))
 
 
 def min_id_section(table: ObservationTable) -> np.ndarray:
@@ -385,38 +392,132 @@ def sequential_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty float array, bit for bit, from one sort."""
-    ordered = np.sort(values)
-    half = ordered.size // 2
-    if ordered.size % 2:
-        return float(ordered[half])
-    return float((ordered[half - 1] + ordered[half]) / 2.0)
+def _row_medians(ordered: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.median of each row's first counts[i] entries, bit for bit, where
+    every row of the 2-D array ordered is sorted; rows without entries
+    read as inf or nan."""
+    rows = np.arange(ordered.shape[0])
+    half = counts // 2
+    upper = ordered[rows, half]
+    return np.where(counts % 2 == 1, upper, (ordered[rows, half - 1] + upper) / 2.0)
 
 
-def _bucket_level(diag: BucketDiagnostics, cutoff: int) -> BucketLevel:
-    """The aggregates of the buckets of size at least cutoff."""
-    qual = diag.sizes >= cutoff
-    b = diag.sizes[qual]
-    if b.size:
-        weights = b * (b - 1)
-        # Left to right: np.sum adds pairwise, which would change the last bits.
-        weighted = sequential_sum((weights * diag.collisions[qual]).tolist())
-        wcoll = weighted / int(weights.sum())
-        med = _median(diag.code_counts[qual] / b)
-        # Nearest-rank 0.9 quantile.
-        balances = np.sort(diag.balances[qual])
-        q90 = float(balances[int(np.ceil(0.9 * balances.size)) - 1])
-    else:
-        wcoll = med = q90 = None
-    return BucketLevel(
-        cutoff=cutoff,
-        bucket_count=int(b.size),
-        below_cutoff_vertex_fraction=(diag.n - int(b.sum())) / diag.n,
-        weighted_collision=wcoll,
-        median_code_ratio=med,
-        q90_balance=q90,
-    )
+def _bucket_levels(
+    n: int, offsets: Sequence[int], sizes: np.ndarray, code_counts: np.ndarray,
+    collisions: np.ndarray, balances: np.ndarray, cutoff: int,
+) -> list[BucketLevel]:
+    """The aggregates of the buckets of size at least cutoff in each row of
+    a batch, whose per-bucket arrays lie side by side: row i's buckets are
+    entries offsets[i] to offsets[i + 1].
+
+    A row's qualifying values fill a row of padded matrices. A cumulative
+    sum along a row adds strictly left to right, as sequential_sum does
+    (np.sum adds pairwise, which would change the last bits); +inf padding
+    sorts last, so the median and the nearest-rank 0.9 quantile read the
+    sorted values alone.
+    """
+    count = len(offsets) - 1
+    keep = np.flatnonzero(sizes >= cutoff)
+    bounds = np.searchsorted(keep, offsets)
+    per_row = np.diff(bounds)
+    row = np.repeat(np.arange(count), per_row)
+    column = np.arange(keep.size) - np.repeat(bounds[:-1], per_row)
+    b = sizes[keep]
+    weights = b * (b - 1)
+    width = max(int(per_row.max(initial=0)), 1)
+    sums = np.zeros((3, count, width))
+    sums[:, row, column] = (b, weights, weights * collisions[keep])
+    members, total_weight, weighted = np.cumsum(sums, axis=2)[:, :, -1].tolist()
+    ordered = np.full((2, count, width), np.inf)
+    ordered[:, row, column] = (code_counts[keep] / b, balances[keep])
+    ordered.sort(axis=2)
+    median = _row_medians(ordered[0], per_row).tolist()
+    quantile = ordered[1, np.arange(count), np.ceil(0.9 * per_row).astype(np.intp) - 1].tolist()
+    return [
+        BucketLevel(cutoff, c, (n - int(members[i])) / n, *(
+            (weighted[i] / total_weight[i], median[i], quantile[i]) if c else (None,) * 3))
+        for i, c in enumerate(per_row.tolist())
+    ]
+
+
+def _bound_reports(
+    images: Sequence[int], profiles: Sequence[int], codebooks: Sequence[int],
+    offsets: Sequence[int], collisions: np.ndarray, balances: np.ndarray,
+) -> list[BoundReport]:
+    """The bound report of each row of a batch with images[i] fibers,
+    profiles[i] buckets and codebooks[i] code classes, its non-singleton
+    buckets laid out as in _bucket_levels; theory.bound_report states the
+    rule."""
+    # Each row's extremes. A row without buckets reads a later row's value
+    # or the sentinel, which the rule never uses.
+    coll_hat = np.minimum.reduceat(np.append(collisions, np.inf), offsets[:-1]).tolist()
+    beta_hat = np.maximum.reduceat(np.append(balances, 0.0), offsets[:-1]).tolist()
+    out = []
+    for i, (image, d, codebook) in enumerate(zip(images, profiles, codebooks)):
+        applies = offsets[i + 1] > offsets[i] and coll_hat[i] > 0.0
+        refined = d * (1.0 + beta_hat[i] / coll_hat[i]) if applies else None
+        out.append(BoundReport(image, d, d * codebook, image <= d * codebook, refined,
+                               image <= refined if applies else None))
+    return out
+
+
+def evaluate_rows(
+    rows: Sequence[tuple[AnchorStage, Groups]],
+) -> list[tuple[FiberStats, BucketDiagnostics, BoundReport]]:
+    """The fiber statistics, bucket diagnostics (cutoff 2 filled in) and
+    bound report of each row, in order. A row pairs an anchor stage with a
+    code table's class Groups; all rows cover the same n >= 1 vertices.
+
+    One sort along the rows of the (rows, n) matrix of keys bucket id *
+    class count + class id lays out each row's fibers as runs of equal
+    keys. A fiber's bucket is its key // class count, so a bucket's fibers
+    are adjacent, and buckets come in row, then bucket-id order, which is
+    each row's first-appearance order.
+    """
+    if not rows:
+        return []
+    count, n = len(rows), rows[0][0].n
+    buckets = [stage.bucket_groups for stage, _ in rows]
+    classes = np.array([len(c) for _, c in rows], dtype=np.int64)
+    keys = np.array([groups.ids for groups in buckets], dtype=np.int64)
+    keys *= classes[:, np.newaxis]
+    keys += np.array([c.ids for _, c in rows])
+    keys.sort(axis=1)
+    flat = keys.ravel()
+
+    starts = np.diff(flat, prepend=-1) != 0  # keys are never negative
+    starts[::n] = True  # no fiber spans two rows
+    run = np.flatnonzero(starts)
+    fiber = np.diff(run, append=flat.size)
+    row_fibers = np.searchsorted(run, np.arange(count) * n)  # each row's first fiber
+    image = np.diff(row_fibers, append=run.size).tolist()
+    square_sum = np.add.reduceat(fiber * fiber, row_fibers).tolist()
+    singletons = np.add.reduceat(fiber == 1, row_fibers, dtype=np.intp).tolist()
+
+    fiber_row = run // n
+    bucket = fiber_row * n + flat[run] // classes[fiber_row]
+    head = np.flatnonzero(np.diff(bucket, prepend=-1))  # each bucket's first fiber
+    sizes = np.concatenate([groups.sizes for groups in buckets])
+    multi = np.flatnonzero(sizes > 1)
+    b = sizes[multi]
+    firsts = np.concatenate([groups.first for groups in buckets])[multi]
+    code_counts = np.diff(head, append=run.size)[multi]
+    collisions = np.add.reduceat(fiber * (fiber - 1), head)[multi] / (b * (b - 1))
+    balances = (code_counts / b) * np.maximum.reduceat(fiber, head)[multi]
+    profiles = [len(groups) for groups in buckets]
+    offsets = np.searchsorted(multi, np.cumsum([0] + profiles)).tolist()
+    levels = _bucket_levels(n, offsets, b, code_counts, collisions, balances, 2)
+    bounds = _bound_reports(image, profiles, classes.tolist(), offsets, collisions, balances)
+
+    out = []
+    for i, (stage, _) in enumerate(rows):
+        lo, hi = offsets[i], offsets[i + 1]
+        diag = BucketDiagnostics(
+            n, stage.profile_matrix, firsts[lo:hi], b[lo:hi], code_counts[lo:hi],
+            collisions[lo:hi], balances[lo:hi], (profiles[i] - (hi - lo)) / n)
+        diag._levels[2] = levels[i]
+        out.append((_fiber_stats(n, image[i], square_sum[i], singletons[i]), diag, bounds[i]))
+    return out
 
 
 def bucket_diagnostics(table: ObservationTable) -> BucketDiagnostics:

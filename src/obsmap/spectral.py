@@ -210,8 +210,42 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     if np.any(degs == 0):
         isolated = int(np.flatnonzero(degs == 0)[0])
         raise ConnectivityError(f"vertex {isolated} is isolated")
-    scale = sp.diags(1.0 / np.sqrt(degs.astype(np.float64)))
-    return sp.csr_matrix(sp.identity(g.n, format="csr") - scale @ g.to_sparse() @ scale)
+    adjacency = g.to_sparse()
+    scale = 1.0 / np.sqrt(degs.astype(np.float64))
+    return _shifted(adjacency, -(np.repeat(scale, degs) * scale[adjacency.indices]), 1.0)
+
+
+def _shifted(a: sp.csr_matrix, values: np.ndarray, shift: float) -> sp.csr_matrix:
+    """shift * I plus the matrix with the pattern of the square CSR a, whose
+    rows hold sorted, distinct columns, and the given values, which are
+    updated in place. Built from the arrays as scipy's sparse sum builds
+    it, at a fraction of its cost: a diagonal entry is value + shift, or
+    shift where a's row has none; every other entry is its value; zero sums
+    are dropped.
+    """
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    diagonal = np.flatnonzero(a.indices == rows)
+    values[diagonal] += shift
+    if diagonal.size == n:
+        out = sp.csr_matrix((values, a.indices.copy(), a.indptr.copy()), shape=(n, n))
+    else:
+        missing = np.ones(n, dtype=bool)
+        missing[a.indices[diagonal]] = False
+        absent = np.flatnonzero(missing)
+        indptr = a.indptr + np.concatenate(([0], np.cumsum(missing)))
+        # A row's inserted diagonal follows its entries left of the diagonal.
+        at = indptr[absent] + np.bincount(rows[a.indices < rows], minlength=n)[absent]
+        kept = np.ones(indptr[-1], dtype=bool)
+        kept[at] = False
+        indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+        indices[kept] = a.indices
+        indices[at] = absent
+        merged = np.full(indptr[-1], shift)
+        merged[kept] = values
+        out = sp.csr_matrix((merged, indices, indptr), shape=(n, n))
+    out.eliminate_zeros()
+    return out
 
 
 def _degenerate(vals: np.ndarray) -> bool:
@@ -239,11 +273,12 @@ class _ChebyshevFilter(scipy.sparse.linalg.LinearOperator):
     """
 
     def __init__(self, lap: sp.csr_matrix, center: float, radius: float, degree: int) -> None:
-        n = lap.shape[0]
         super().__init__(dtype=np.float64, shape=lap.shape)
-        self._twice = sp.csr_matrix(
-            (2.0 * center / radius) * sp.identity(n, format="csr") - (2.0 / radius) * lap
-        )
+        if not lap.has_canonical_format:  # _shifted needs sorted, distinct columns
+            lap = lap.copy()
+            lap.sum_duplicates()
+        # (2 center / radius) I - (2 / radius) lap, as the sparse sum gives it.
+        self._twice = _shifted(lap, (-2.0 / radius) * lap.data, 2.0 * center / radius)
         self._degree = degree
         # scipy.sparse loaded this kernel module on import.
         self._kernel = sp._sparsetools.csr_matvec

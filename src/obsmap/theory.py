@@ -10,9 +10,8 @@ inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .observation import BucketDiagnostics, ObservationTable, bucket_diagnostics
+from .observation import BoundReport, ObservationTable, _bound_reports, bucket_diagnostics
 from .spectral import QuantizedCodes, codebook_size
 
 __all__ = [
@@ -22,27 +21,6 @@ __all__ = [
 ]
 
 _MIN_N = 16
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured image size against its counting bounds.
-
-    profile_bound is the measured number of attained distance profiles D;
-    generic_bound is D times the codebook size; refined_bound is
-    D * (1 + beta_hat / coll_hat) with beta_hat the largest bucket balance
-    and coll_hat the smallest non-singleton bucket collision. refined_bound
-    and refined_satisfied are None when no non-singleton bucket exists or
-    some non-singleton bucket has zero collision (the substitution is then
-    undefined or vacuous).
-    """
-
-    image_size: int
-    profile_bound: int
-    generic_bound: int
-    generic_satisfied: bool
-    refined_bound: float | None
-    refined_satisfied: bool | None
 
 
 def rho_eng(n: int, k: int, m: int, eta: float) -> float | None:
@@ -59,12 +37,6 @@ def rho_eng(n: int, k: int, m: int, eta: float) -> float | None:
     return (k * math.log(log_n) + m * math.log(2.0 / eta)) / log_n
 
 
-def _refined_parts(diag: BucketDiagnostics) -> tuple[float, float] | None:
-    if not diag.sizes.size or diag.collisions.min() <= 0.0:
-        return None
-    return float(diag.balances.max()), float(diag.collisions.min())
-
-
 def bound_report(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
     """Full bound report: generic and refined counting bounds together.
 
@@ -73,25 +45,12 @@ def bound_report(table: ObservationTable, codes: QuantizedCodes) -> BoundReport:
     collision is positive; otherwise the refined fields stay None. Under
     that substitution the bound is implied by the per-bucket inequality
     M(B) <= Bal(B) |B| / (1 + (|B|-1) Coll(B)), so refined_satisfied must
-    always come back True when applicable.
+    always come back True when applicable. The rule is the one
+    observation.evaluate_rows applies to every row, here applied to the
+    table's fibers, buckets and diagnostics with the codebook of codes.
     """
-    image = len(table.fiber_groups)
-    profiles = len(table.bucket_groups)
-    generic = profiles * codebook_size(codes)
-    parts = _refined_parts(bucket_diagnostics(table))
-    if parts is None:
-        refined = None
-        refined_ok = None
-    else:
-        beta_hat, coll_hat = parts
-        refined = profiles * (1.0 + beta_hat / coll_hat)
-        refined_ok = image <= refined
-    return BoundReport(
-        image_size=image,
-        profile_bound=profiles,
-        generic_bound=generic,
-        generic_satisfied=image <= generic,
-        refined_bound=refined,
-        refined_satisfied=refined_ok,
-    )
-
+    diag = bucket_diagnostics(table)
+    (report,) = _bound_reports([len(table.fiber_groups)], [len(table.bucket_groups)],
+                               [codebook_size(codes)], [0, diag.sizes.size],
+                               diag.collisions, diag.balances)
+    return report

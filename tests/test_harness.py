@@ -48,7 +48,8 @@ from obsmap.harness import (
 )
 
 from obsmap.spectral import (
-    energy_embedding, low_frequency_basis, normalized_laplacian, quantize_absolute,
+    empty_embedding, energy_embedding, low_frequency_basis, normalized_laplacian,
+    quantize_absolute,
 )
 
 from conftest import cycle_graph, one_point_record, path_graph, random_connected_graph, star_graph
@@ -89,22 +90,26 @@ def strip_timing(rec):
     return dataclasses.replace(rec, wall_time_ms=None)
 
 
-def count_computations(monkeypatch) -> dict[str, int]:
-    """Live counts of the work behind the cached views: bucket diagnostics
-    built (BucketDiagnostics constructions) and code tables grouped
-    (spectral._group_rows, which only QuantizedCodes.groups calls)."""
+def count_computations(monkeypatch) -> dict[str, list[int] | int]:
+    """Live counts of the work behind the reports: the rows of each
+    evaluate_rows call ("batches", one entry per call) and the code tables
+    grouped (spectral._group_rows, which only QuantizedCodes.groups calls)."""
     from obsmap import observation, spectral
 
-    counts = {"diagnostics": 0, "groupings": 0}
-    for module, attr, name in ((observation, "BucketDiagnostics", "diagnostics"),
-                               (spectral, "_group_rows", "groupings")):
-        fn = getattr(module, attr)
+    counts: dict[str, list[int] | int] = {"batches": [], "groupings": 0}
+    evaluate, group = observation.evaluate_rows, spectral._group_rows
 
-        def wrapper(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    def evaluating(rows):
+        counts["batches"].append(len(rows))
+        return evaluate(rows)
 
-        monkeypatch.setattr(module, attr, wrapper)
+    def grouping(*args, **kwargs):
+        counts["groupings"] += 1
+        return group(*args, **kwargs)
+
+    for module in (observation, harness):
+        monkeypatch.setattr(module, "evaluate_rows", evaluating)
+    monkeypatch.setattr(spectral, "_group_rows", grouping)
     return counts
 
 
@@ -627,30 +632,72 @@ class TestOneSolvePerGraph:
     def test_diagnostics_and_codebook_once_per_row(self, monkeypatch):
         counts = count_computations(monkeypatch)
         res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
-        # one code table per graph: every k and resample shares its codebook
-        assert counts == {"diagnostics": len(res.records), "groupings": 3}
+        # Each graph's 4 rows are one batch, so every row is evaluated once;
+        # one code table per graph: every k and resample shares its codebook.
+        assert len(res.records) == 12
+        assert counts == {"batches": [4, 4, 4], "groupings": 3}
 
     def test_bucket_aggregates_built_on_demand(self, monkeypatch, capsys):
         import obsmap.cli as cli
         import obsmap.observation as observation
 
         built = []
-        real = observation._bucket_level
+        real = observation._bucket_levels
 
-        def spy(diag, cutoff):
-            built.append(cutoff)
-            return real(diag, cutoff)
+        def spy(n, offsets, *arrays):
+            built.append((arrays[-1], len(offsets) - 1))  # (cutoff, rows)
+            return real(n, offsets, *arrays)
 
-        monkeypatch.setattr(observation, "_bucket_level", spy)
-        res = run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
-        # A sweep row reads the cutoff-2 aggregate only.
-        assert built == [2] * len(res.records)
+        monkeypatch.setattr(observation, "_bucket_levels", spy)
+        run_sweep(self.config(m_list=(1,), eta_list=("0.3",)))
+        # A sweep row reads the cutoff-2 aggregate only, built for its batch.
+        assert built == [(2, 4)] * 3
 
         built.clear()
         args = ["--regular", "500,3", "--seed", "1", "--anchors", "2", "--m", "2", "--eta", "0.5"]
         assert cli.main(["diagnose-buckets", *args]) == 0
         assert "cutoff_10.buckets" in capsys.readouterr().out
-        assert built == [2, 3, 10]
+        assert built == [(2, 1), (3, 1), (10, 1)]
+
+    def test_anchor_seed_once_per_anchor_set(self, monkeypatch):
+        calls = []
+        real = harness.anchor_seed_for
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "anchor_seed_for", counting)
+        res = run_sweep(self.config(m_list=(0, 1, 2, 5), eta_list=("0.3",), trials=1))
+        assert len(res.records) == 2 * 4 * 2
+        # one seed per (k, strategy, resample), shared by the four m cells
+        assert sorted(calls) == [(k, "random", i) for k in (1, 2) for i in (0, 1)]
+
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["one_row", "whole_graph"])
+    def test_batches_leave_records_unchanged(self, monkeypatch, budget):
+        cfg = SweepConfig(n_list=(500,), k_list=(1, 2, 3, 4, 6, 8), m_list=(0, 1, 2, 5),
+                          eta_list=("0.1",), trials=2, seed=0)
+        counts = count_computations(monkeypatch)
+        monkeypatch.setattr(harness, "_BATCH_VERTEX_ROWS", budget)
+        records = run_sweep(cfg).records
+        assert counts["batches"] == ([1] * 48 if budget == 1 else [24, 24])
+        monkeypatch.undo()
+        default = run_sweep(cfg).records
+        assert [strip_timing(r) for r in records] == [strip_timing(r) for r in default]
+        # Row by row through evaluate_instance, on a basis solved at the largest m.
+        for trial in range(cfg.trials):
+            gseed = graph_seed_for(cfg.seed, 500, 3, trial)
+            g = random_regular(500, 3, gseed)
+            basis = low_frequency_basis(normalized_laplacian(g), 5)
+            for rec in records:
+                if rec.trial != trial:
+                    continue
+                anchors = select_anchors(g, rec.k, "random",
+                                         anchor_seed_for(gseed, rec.k, "random", rec.resample))
+                emb = energy_embedding(basis, rec.m, True) if rec.m else empty_embedding(500, True)
+                point = ConfigPoint(*(getattr(rec, name) for name in ConfigPoint.__match_args__))
+                report = evaluate_instance(g, anchors, quantize_absolute(emb, 0.1))
+                assert harness._record(point, gseed, report, None) == strip_timing(rec)
 
 
 class TestAnchorStagePerAnchorSet:
@@ -713,7 +760,9 @@ class TestAnchorStagePerAnchorSet:
         code_tables = {(r.trial, r.m, r.eta) for r in res.records}
         stages = len(anchor_sets) + len({(r.trial, r.resample) for r in res.records if r.k == 0})
         assert len(res.records) == 3 * 3 * 2 * 2 * 3
-        assert computed == {"diagnostics": len(res.records), "groupings": len(code_tables)}
+        # Each graph's rows are one batch (n = 60), so every row is evaluated once.
+        assert computed == {"batches": [len(res.records) // 2] * 2,
+                            "groupings": len(code_tables)}
         assert len(code_tables) == 2 * 3 * 2
         if strategy == "farthest":
             # the searches that chose the anchors are the profile

@@ -23,15 +23,17 @@ from obsmap.graphs import (
 from obsmap.harness import anchor_seed_for, select_anchors
 from obsmap.observation import (
     BUCKET_CUTOFFS,
+    BoundReport,
     BucketDiagnostics,
     BucketLevel,
     FiberStats,
     Groups,
     _group_rows,
-    _median,
+    _row_medians,
     anchor_stage,
     bucket_diagnostics,
     build_observation,
+    evaluate_rows,
     fiber_stats,
     min_id_section,
     refine_observation,
@@ -46,7 +48,9 @@ from obsmap.spectral import (
     low_frequency_basis,
     normalized_laplacian,
     quantize_absolute,
+    quantize_relative,
 )
+from obsmap.theory import bound_report
 
 from conftest import (
     assert_groups_match,
@@ -428,7 +432,10 @@ def ref_bucket_diagnostics(buckets, code_rows, n):
         qual = [r for r in rows.values() if r.size >= cutoff]
         if qual:
             weights = [r.size * (r.size - 1) for r in qual]
-            wcoll = sum(w * r.collision for w, r in zip(weights, qual)) / sum(weights)
+            weighted = 0.0
+            for w, r in zip(weights, qual):
+                weighted += w * r.collision  # left to right, as reported means add
+            wcoll = weighted / sum(weights)
             med = float(np.median([r.code_count / r.size for r in qual]))
             balances = sorted(r.balance for r in qual)
             q90 = balances[int(np.ceil(0.9 * len(balances))) - 1]
@@ -533,6 +540,86 @@ class TestArrayNativeMatchesReference:
         assert fibers == {((), ()): tuple(range(10))}
         assert fiber_stats(table) == ref_fiber_stats(fibers, 10)
         assert codebook_size(no_codes(g.n)) == 1
+
+
+def ref_bound_report(fibers, buckets, code_rows, ref) -> BoundReport:
+    """The counting bounds from the dict-walk join and diagnostics."""
+    image, profiles = len(fibers), len(buckets)
+    generic = profiles * len(set(code_rows))
+    rows = list(ref.rows.values())
+    refined = None
+    if rows and min(r.collision for r in rows) > 0:
+        refined = profiles * (1.0 + max(r.balance for r in rows) / min(r.collision for r in rows))
+    return BoundReport(image, profiles, generic, image <= generic, refined,
+                       None if refined is None else image <= refined)
+
+
+@st.composite
+def row_batches(draw):
+    """Rows of one graph for evaluate_rows: anchor sets, k = 0 included,
+    beside code tables of either quantizer, scaled or not, with m = 0
+    included and steps down to 1e-6."""
+    g = draw(st.one_of(regular_graphs(), edge_list_graphs(), st.integers(2, 12).map(path_graph))
+             .filter(lambda g: g.n >= 2))  # a lone vertex has no Laplacian
+    m_max = min(3, g.n - 1)
+    basis = low_frequency_basis(normalized_laplacian(g), m_max)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        anchors = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=min(4, g.n)))
+        m, scaled = draw(st.integers(0, m_max)), draw(st.booleans())
+        emb = energy_embedding(basis, m, scaled) if m else empty_embedding(g.n, scaled)
+        quantize = draw(st.sampled_from((quantize_absolute, quantize_relative)))
+        rows.append((AnchorSet(tuple(anchors)), quantize(emb, draw(st.sampled_from(ETAS)))))
+    return g, rows
+
+
+ETAS = (2.0, 0.5, 0.1, 1e-6)
+
+
+class TestBatchedRows:
+    """evaluate_rows against the dict-walk join, row by row, and against
+    the one-row paths of a table."""
+
+    @given(row_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_every_row_matches_dict_walk(self, drawn):
+        g, rows = drawn
+        stages = [anchor_stage(anchor_profile(g, anchors)) for anchors, _ in rows]
+        got = evaluate_rows([(stage, codes.groups) for stage, (_, codes) in zip(stages, rows)])
+        assert len(got) == len(rows)
+        for (anchors, codes), stage, (stats, diag, bounds) in zip(rows, stages, got):
+            code_rows = row_tuples(codes.codes)
+            fibers, buckets = ref_join(row_tuples(stage.profile_matrix), code_rows)
+            ref = ref_bucket_diagnostics(buckets, code_rows, g.n)
+            assert stats == ref_fiber_stats(fibers, g.n)
+            assert diag.n == g.n
+            assert_diagnostics_match(diag, ref, anchors.k)
+            assert bounds == ref_bound_report(fibers, buckets, code_rows, ref)
+            table = refine_observation(stage, codes)
+            assert fiber_stats(table) == stats
+            assert bound_report(table, codes) == bounds
+
+    def test_inapplicable_aggregates_and_bounds(self):
+        g = path_graph(6)
+        singletons = anchor_stage(anchor_profile(g, AnchorSet((0,))))
+        one_bucket = anchor_stage(anchor_profile(g, AnchorSet(())))
+        distinct = codes_from_rows([[v] for v in range(6)])
+        shared = codes_from_rows([[0], [0], [1], [1], [1], [2]])
+        (_, alone, alone_bounds), (_, apart, apart_bounds), (stats, diag, bounds) = evaluate_rows(
+            [(singletons, shared.groups), (one_bucket, distinct.groups),
+             (one_bucket, shared.groups)])
+        # No non-singleton bucket: every aggregate and the refined bound are n/a.
+        assert alone.sizes.size == 0 and alone.singleton_vertex_fraction == 1.0
+        assert all(level.weighted_collision is None for level in alone.levels)
+        assert alone_bounds.refined_bound is None and alone_bounds.refined_satisfied is None
+        # One bucket of distinct codes: zero collision leaves the refined bound n/a.
+        assert apart.collisions.tolist() == [0.0]
+        assert apart.level(2).weighted_collision == 0.0
+        assert apart_bounds.refined_bound is None and apart_bounds.refined_satisfied is None
+        # Classes of 2, 3 and 1: 8 ordered pairs of 30 share a code.
+        assert stats.image_size == 3 and stats.vertex_mean_preimage == 14 / 6
+        assert diag.collisions.tolist() == [8 / 30] and diag.balances.tolist() == [1.5]
+        assert bounds.refined_bound == 1.0 + 1.5 / (8 / 30) and bounds.refined_satisfied
 
 
 def ref_section_success(observed, section):
@@ -792,8 +879,14 @@ class TestSequentialSum:
 
 
 class TestMedian:
-    @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40))
+    @given(st.lists(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40),
+                    min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_numpy(self, values):
-        arr = np.array(values)
-        assert _median(arr).hex() == float(np.median(arr)).hex()
+    def test_bit_identical_to_numpy(self, rows):
+        # Rows of different lengths, each sorted and padded with inf.
+        counts = np.array([len(values) for values in rows])
+        ordered = np.full((len(rows), counts.max()), np.inf)
+        for i, values in enumerate(rows):
+            ordered[i, : len(values)] = np.sort(values)
+        got = _row_medians(ordered, counts)
+        assert [float(v).hex() for v in got] == [float(np.median(v)).hex() for v in rows]

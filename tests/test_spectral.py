@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsmap.graphs import graph_from_edges, random_regular
+from obsmap.graphs import ConnectivityError, graph_from_edges, random_regular
 from obsmap.spectral import (
     _START_SEED,
     DEGENERACY_TOL,
@@ -35,6 +35,8 @@ from obsmap.spectral import (
     _ChebyshevFilter,
 )
 from obsmap import spectral
+
+from test_graphs import graphs_of_every_shape
 
 from conftest import (
     complete_graph,
@@ -110,6 +112,57 @@ class TestNormalizedLaplacian:
 
         with pytest.raises(ConnectivityError, match="vertex 2 is isolated"):
             normalized_laplacian(graph_from_edges(3, [(0, 1)]))
+
+
+def composed_laplacian(g) -> sp.csr_matrix:
+    """I - D^(-1/2) A D^(-1/2) composed in scipy's sparse algebra."""
+    scale = sp.diags(1.0 / np.sqrt(g.degrees().astype(np.float64)))
+    return sp.csr_matrix(sp.identity(g.n, format="csr") - scale @ g.to_sparse() @ scale)
+
+
+def composed_filter(lap, center: float, radius: float) -> sp.csr_matrix:
+    """2S = (2 center / radius) I - (2 / radius) lap in scipy's sparse algebra."""
+    n = lap.shape[0]
+    shift = (2.0 * center / radius) * sp.identity(n, format="csr")
+    return sp.csr_matrix(shift - (2.0 / radius) * lap)
+
+
+def assert_same_csr(got, want) -> None:
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestOperatorsFromArrays:
+    """normalized_laplacian and the filter's 2S, built from CSR arrays,
+    equal the sparse algebra they replace bit for bit."""
+
+    @given(graphs_of_every_shape(), st.sampled_from((0.0, 0.3, 0.6)))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_sparse_algebra(self, g, cut):
+        isolated = np.flatnonzero(g.degrees() == 0)
+        if isolated.size:
+            with pytest.raises(ConnectivityError, match=f"^vertex {isolated[0]} is isolated$"):
+                normalized_laplacian(g)
+            return
+        lap = normalized_laplacian(g)
+        assert_same_csr(lap, composed_laplacian(g))
+        # cut 0 puts zeros on the diagonal of 2S, which the sum drops.
+        center, radius = 1.0 + cut / 2.0, 1.0 - cut / 2.0
+        assert_same_csr(_ChebyshevFilter(lap, center, radius, 8)._twice,
+                        composed_filter(lap, center, radius))
+        # An operator missing some diagonal entries, as it is and with each
+        # row's entries reversed, which the sum leaves in its own order.
+        partial = sp.csr_matrix(lap.multiply(g.to_sparse() + sp.identity(g.n) * (g.n > 2)))
+        want = composed_filter(partial, center, radius)
+        assert_same_csr(_ChebyshevFilter(partial, center, radius, 8)._twice, want)
+        ptr = partial.indptr.tolist()
+        order = [i for a, b in zip(ptr, ptr[1:]) for i in reversed(range(a, b))]
+        reversed_rows = sp.csr_matrix(
+            (partial.data[order], partial.indices[order], partial.indptr), shape=partial.shape)
+        got = _ChebyshevFilter(reversed_rows, center, radius, 8)._twice
+        assert got.has_canonical_format
+        assert got.toarray().tobytes() == want.toarray().tobytes()
 
 
 @pytest.fixture(scope="module")
