@@ -381,14 +381,33 @@ def _search_one(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
+class _PassBuffers:
+    """The arrays the level passes over one graph work in, allocated once
+    per _bfs or structural_stats call rather than once per pass: the CSR
+    indices as intp (numpy converts other index types on every gather), the
+    row starts, the gathered neighbour words, the seen, frontier, plane and
+    scratch words per vertex, and the distance counters, added as a pass
+    first needs each and zeroed by every pass that uses it."""
+
+    def __init__(self, g: Graph) -> None:
+        csr = g.to_sparse()
+        self.indices = csr.indices.astype(np.intp)
+        self.starts = csr.indptr[:-1]
+        self.gathered = np.empty(self.indices.size, dtype=np.uint64)
+        self.seen, self.frontier, self.plane, self.unseen = np.empty((4, g.n), dtype=np.uint64)
+        self.counters: list[np.ndarray] = []
+
+
+def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray,
+                   work: _PassBuffers) -> np.ndarray:
     """Hop distances from up to 64 sources by one level-synchronous pass,
     written into and returned as out: shape (n, len(sources)), zeroed, of a
     dtype that holds them. g must be connected with at least two vertices,
     as a _search_one that reached every vertex proves: then every CSR row
     has a neighbour for reduceat (over an empty row it returns the next
     row's first value), and the pass ends once each source has reached
-    every vertex, which on any other graph it never would.
+    every vertex, which on any other graph it never would. The pass works in
+    work, which must be g's.
 
     Bit j of a vertex's uint64 word stands for sources[j]. Each level ORs
     the frontier words of a vertex's neighbours (one gather of the CSR
@@ -397,34 +416,38 @@ def _packed_search(g: Graph, sources: np.ndarray, out: np.ndarray) -> np.ndarray
     level d. Each plane is ORed into counter b for every set bit b of d, so
     bit j of counters[b][v] is bit b of the distance from sources[j] to v.
     """
-    csr = g.to_sparse()
     n = g.n
-    indices = csr.indices.astype(np.intp)
-    starts = csr.indptr[:-1]
     bits = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
     every = np.bitwise_or.reduce(bits)
-    seen = np.zeros(n, dtype=np.uint64)
+    seen, frontier, plane, unseen = work.seen, work.frontier, work.plane, work.unseen
+    seen.fill(0)
     np.bitwise_or.at(seen, sources, bits)
-    frontier = seen.copy()
-    plane = np.empty(n, dtype=np.uint64)
-    unseen = np.empty(n, dtype=np.uint64)
-    counters: list[np.ndarray] = []
+    np.copyto(frontier, seen)
+    counters = work.counters
+    used = 0  # the counters this pass has zeroed: one per bit of its levels
     levels = 0
     while seen.min() != every:
-        np.bitwise_or.reduceat(frontier.take(indices), starts, out=plane)
+        # take buffers its output under mode="raise"; the indices are in
+        # range, so "clip" gathers the same words straight into the buffer.
+        gathered = frontier.take(work.indices, out=work.gathered, mode="clip")
+        np.bitwise_or.reduceat(gathered, work.starts, out=plane)
         np.bitwise_and(plane, np.invert(seen, out=unseen), out=plane)
         levels += 1
         np.bitwise_or(seen, plane, out=seen)
-        if levels == 1 << len(counters):
-            counters.append(np.zeros(n, dtype=np.uint64))
-        for b, counter in enumerate(counters):
+        if levels == 1 << used:
+            if used == len(counters):
+                counters.append(np.zeros(n, dtype=np.uint64))
+            else:
+                counters[used].fill(0)
+            used += 1
+        for b in range(used):
             if levels >> b & 1:
-                np.bitwise_or(counter, plane, out=counter)
+                np.bitwise_or(counters[b], plane, out=counters[b])
         frontier, plane = plane, frontier
-    for b, counter in enumerate(counters):
+    for b in range(used):
         # Byte i of a little-endian word holds bits 8i..8i+7, so unpacking
         # each word's bytes little-end first puts bit j of word v at [v, j].
-        octets = counter.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+        octets = counters[b].astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
         unpacked = np.unpackbits(octets, axis=1, count=len(sources), bitorder="little")
         unpacked = unpacked.astype(out.dtype, copy=False)  # wider only past distance 255
         np.multiply(unpacked, out.dtype.type(1 << b), out=unpacked)
@@ -461,9 +484,10 @@ def _bfs(g: Graph, sources: Sequence[int]) -> np.ndarray:
     rest = sources.size - 1
     if rest >= _PACKED_MIN_SOURCES and 0 < eccentricity <= rest:
         # From column 0, so a pass over every source writes whole rows.
+        work = _PassBuffers(g)
         for start in range(0, sources.size, _WORD_BITS):
             stop = start + _WORD_BITS
-            _packed_search(g, sources[start:stop], dist[:, start:stop])
+            _packed_search(g, sources[start:stop], dist[:, start:stop], work)
     else:
         dist[:, 0] = first
         for j in range(1, sources.size):
@@ -517,12 +541,13 @@ def structural_stats(g: Graph) -> GraphStats:
     # each pass's chunk of distances makes the mean the dense one.
     eccentricity = int(_search_one(g, 0).max())
     chunk = np.empty((g.n, _WORD_BITS), dtype=np.min_scalar_type(2 * eccentricity))
+    work = _PassBuffers(g)
     diameter = distance_total = 0
     for start in range(0, g.n, _WORD_BITS):
         sources = np.arange(start, min(start + _WORD_BITS, g.n))
         dist = chunk[:, : sources.size]
         dist.fill(0)
-        _packed_search(g, sources, dist)
+        _packed_search(g, sources, dist, work)
         diameter = max(diameter, int(dist.max()))
         distance_total += int(dist.sum(dtype=np.int64))
     pair_count = g.n * (g.n - 1) // 2

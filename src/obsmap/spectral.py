@@ -13,7 +13,12 @@ return bit-identical vectors. The solve runs on a Chebyshev polynomial of the
 operator that damps the unwanted part of the spectrum (Zhou and Saad, SIAM
 J. Matrix Anal. Appl., 2007), which cuts the number of ARPACK steps; the
 damped interval starts at a Rayleigh-Ritz upper bound from a short Lanczos
-pass, and every returned eigenvalue is checked to lie below it. One pair
+pass, and every returned eigenvalue is checked to lie below it. The pass
+starts from the seeded start run through a low-pass filter that damps
+[1, 2]: Ritz values bound the eigenvalues from above whatever the start, so
+the bound stays certified, and a start weighted to the bottom of the
+spectrum makes it tighter, which damps more of the band just above the
+wanted pairs and saves ARPACK steps. One pair
 beyond the retained ones is solved so the degeneracy flag also sees the
 retention boundary. A basis solved once at the largest m needed is cut per m
 by energy_embedding alone, which flags its columns as a fresh solve at that m
@@ -83,6 +88,20 @@ _FILTER_DEGREE = 8
 # 30, 40 and 50 steps: 95, 83, 86; one cubic graph at n=100 000 solves in
 # 5.5 s at 40 steps and 4.8 s at 50, whose block is 40 MB.
 _BOUND_STEPS = 40
+
+# Degree of the low-pass filter, damping [1, 2], that the start of the bound
+# pass is run through. It leaves the start's weight at the bottom of the
+# spectrum, where 40 steps resolve the cut far better. On random_regular(6000,
+# 3, 0) at m = 5, CSR products / ARPACK operator applications of the whole
+# solve for degrees 0 (no smoothing), 16, 24, 32, 40 and 48 were 1376/167,
+# 1264/151, 1208/143, 1192/140, 1144/133 and 1152/133. Higher degrees push
+# the start's components above about 0.8 further below rounding, and on a
+# graph with few eigenvalues well below 1 the pass then breaks down where it
+# did not: at 40 and 48 the k = 3 cut of a random graph with n = 6000 and
+# mean degree 20 becomes None, at 64 also one of mean degree 10. At 32 no
+# decision between a cut and None was lost on the graphs of
+# test_smoothed_cut_is_certified_and_never_lost.
+_SMOOTHING_DEGREE = 32
 
 # Largest filter cut. The cut grows with the density of the graph (random
 # graphs of mean degree 3, 10, 20 and 50 at n=6000 give 0.31, 0.53, 0.65 and
@@ -345,6 +364,12 @@ def _ritz_cut(lap: sp.csr_matrix, start: np.ndarray, k: int) -> float | None:
     return cut if cut <= _MAX_CUT else None
 
 
+def _smoothed(lap: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """T_d(S) x with S = (1.5 I - lap) / 0.5 and d = _SMOOTHING_DEGREE: x with
+    its components on [1, 2] damped into [-1, 1] and those below 1 grown."""
+    return _ChebyshevFilter(lap, 1.5, 0.5, _SMOOTHING_DEGREE).matvec(x)
+
+
 @cache
 def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """Thread-count getter and setter of each OpenBLAS that numpy or scipy
@@ -431,7 +456,11 @@ def _bottom_pairs(op: sp.spmatrix | np.ndarray, k: int) -> tuple[np.ndarray, np.
         lap = sp.csr_matrix(op, dtype=np.float64)
         rng = np.random.default_rng(_START_SEED)
         start = rng.uniform(-1.0, 1.0, n)
-        cut = _ritz_cut(lap, start, k)
+        # The bound pass starts from the smoothed start, ARPACK from the raw
+        # one. The (k+1)-th Ritz value of any Krylov space bounds the
+        # (k+1)-th eigenvalue from above, whatever its start, so the cut
+        # stays certified; the smoothing only makes it tighter.
+        cut = _ritz_cut(lap, _smoothed(lap, start), k)
         if cut is None:
             operator = _ChebyshevFilter(lap, 2.0, 1.0, 1)
         else:

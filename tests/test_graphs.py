@@ -326,7 +326,7 @@ class TestPackedSearchMatchesShortestPath:
         packed = sources[:64]
         expected = ref[packed].T.astype(np.int64)
         out = np.zeros(expected.shape, dtype=np.min_scalar_type(int(expected.max())))
-        assert graphs._packed_search(g, np.array(packed), out) is out
+        assert graphs._packed_search(g, np.array(packed), out, graphs._PassBuffers(g)) is out
         assert out.tolist() == expected.tolist()
 
     def test_distances_past_255_widen_the_dtype(self):
@@ -336,7 +336,8 @@ class TestPackedSearchMatchesShortestPath:
         assert every.dtype == np.uint16
         assert np.array_equal(every, ref)
         sparse = np.arange(0, 600, 10)
-        packed = graphs._packed_search(g, sparse, np.zeros((600, sparse.size), dtype=np.uint16))
+        out = np.zeros((600, sparse.size), dtype=np.uint16)
+        packed = graphs._packed_search(g, sparse, out, graphs._PassBuffers(g))
         assert np.array_equal(packed, ref[:, sparse])
         near = graphs._bfs(g, [300, 301])  # each searched alone; eccentricity 300
         assert near.dtype == np.uint16
@@ -383,10 +384,10 @@ class TestPackedSearchMatchesShortestPath:
         passes = []
         search = graphs._packed_search
 
-        def checked(h, sources, out):
+        def checked(h, sources, out, work):
             assert h.n >= 2 and connected_components(h.to_sparse())[0] == 1
             passes.append(len(sources))
-            return search(h, sources, out)
+            return search(h, sources, out, work)
 
         sources = np.random.default_rng(seed).integers(0, g.n, count).tolist()
         with pytest.MonkeyPatch.context() as patch:

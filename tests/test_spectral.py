@@ -16,7 +16,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsmap.graphs import ConnectivityError, graph_from_edges, random_regular
+from obsmap.graphs import (
+    ConnectivityError,
+    graph_from_edges,
+    largest_connected_component,
+    random_regular,
+)
 from obsmap.spectral import (
     _START_SEED,
     DEGENERACY_TOL,
@@ -653,6 +658,98 @@ def test_filtered_solve_matches_shifted_solve(name):
             ours = quantize_absolute(energy_embedding(basis, m, scaled=True), eta)
             theirs = quantize_absolute(energy_embedding(reference, m, scaled=True), eta)
             assert np.array_equal(ours.codes, theirs.codes), eta
+
+
+def sampled_graph(n: int, mean_degree: int, seed: int, weights=None):
+    """Largest component of n * mean_degree / 2 vertex pairs, loops and
+    repeats dropped, with endpoints drawn uniformly (an Erdos-Renyi graph)
+    or in proportion to weights (a Chung-Lu graph)."""
+    rng = np.random.default_rng(seed)
+    p = None if weights is None else weights / weights.sum()
+    ends = np.sort(rng.choice(n, (2, n * mean_degree // 2), p=p), axis=0)
+    pairs = np.unique(ends[:, ends[0] != ends[1]], axis=1)
+    return largest_connected_component(graph_from_edges(n, zip(*pairs.tolist())))
+
+
+def chung_lu(n: int, gamma: float, seed: int):
+    """Chung-Lu graph of mean degree about 6 whose weights fall off as
+    rank^(-1/(gamma-1)): a degree tail of exponent gamma."""
+    return sampled_graph(n, 6, seed, np.arange(1, n + 1) ** (-1.0 / (gamma - 1.0)))
+
+
+CUT_GRAPHS = {
+    **PARITY_GRAPHS,
+    "cubic500": lambda: random_regular(500, 3, 0),
+    "cubic2000": lambda: random_regular(2000, 3, 0),
+    "gnp6000mean10": lambda: sampled_graph(6000, 10, 1),
+    "gnp6000mean20": lambda: sampled_graph(6000, 20, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_GRAPHS))
+def test_smoothed_cut_is_certified_and_never_lost(monkeypatch, name):
+    """The bound pass from the low-pass-smoothed start breaks down nowhere
+    the pass from the raw start does not: where its cut is None, so is the
+    raw one, and where only its cut is a number, the raw pass did not break
+    down either but ended above _MAX_CUT. Every cut it gives bounds the
+    (k+1)-th eigenvalue from above and lies strictly above the k-th."""
+    lap = normalized_laplacian(CUT_GRAPHS[name]())
+    start = np.random.default_rng(_START_SEED).uniform(-1.0, 1.0, lap.shape[0])
+    for k in (3, 7):
+        with spectral._one_blas_thread:
+            raw = spectral._ritz_cut(lap, start, k)
+            cut = spectral._ritz_cut(lap, spectral._smoothed(lap, start), k)
+        if cut is None:
+            assert raw is None, k
+            continue
+        if raw is None:
+            limit = spectral._MAX_CUT
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_MAX_CUT", np.inf)
+                with spectral._one_blas_thread:
+                    assert spectral._ritz_cut(lap, start, k) > limit, k
+        # The bottom k+1 eigenvalues; ARPACK on 2I - L crawls on a path or
+        # cycle, whose bottom eigenvalues lie about 1e-6 apart.
+        if lap.shape[0] <= 3000:
+            vals = dense_oracle(lap, k + 1)[0]
+        else:
+            vals = shifted_reference(lap, k - 1)[0]
+        assert vals[k - 1] < cut, k
+        assert cut >= vals[k] - 1e-12, k
+
+
+def arpack_applications(monkeypatch, lap, m: int) -> int:
+    """Operator applications ARPACK makes in low_frequency_basis(lap, m)."""
+    applications = []
+    solve = scipy.sparse.linalg.eigsh
+
+    def counted(operator, **kwargs):
+        def matvec(x):
+            applications.append(None)
+            return operator.matvec(x)
+
+        wrapped = scipy.sparse.linalg.LinearOperator(operator.shape, matvec=matvec,
+                                                     dtype=operator.dtype)
+        return solve(wrapped, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        low_frequency_basis(lap, m)
+    return len(applications)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: random_regular(6000, 3, 0),
+    lambda: chung_lu(3000, 3.0, 0),
+], ids=["cubic6000", "chunglu3000"])
+def test_smoothed_start_saves_arpack_steps(monkeypatch, graph):
+    # Counts, not times: the same solve with the smoothing replaced by the
+    # identity, in the same process, takes strictly more ARPACK steps.
+    lap = normalized_laplacian(graph())
+    smoothed = arpack_applications(monkeypatch, lap, 5)
+    monkeypatch.setattr(spectral, "_smoothed", lambda lap, x: x)
+    raw = arpack_applications(monkeypatch, lap, 5)
+    assert smoothed < raw
 
 
 class TestEnergyEmbedding:
