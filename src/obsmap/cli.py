@@ -63,9 +63,9 @@ def _parse_regular(text: str) -> tuple[int, int]:
 
 def _load_graph(args: argparse.Namespace) -> tuple[Graph, int | None]:
     """Resolve the graph source flags; returns (graph, regular degree or None)."""
-    if getattr(args, "graph", None) is not None and getattr(args, "regular", None) is not None:
+    if args.graph is not None and args.regular is not None:
         raise ValueError("pass exactly one of --graph and --regular")
-    if getattr(args, "graph", None) is not None:
+    if args.graph is not None:
         with open(args.graph, "r", encoding="utf-8") as fh:
             parsed = from_edge_list(fh)
         g = parsed.graph
@@ -76,12 +76,12 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, int | None]:
                 file=sys.stderr,
             )
         r = None
-    elif getattr(args, "regular", None) is not None:
+    elif args.regular is not None:
         n, r = _parse_regular(args.regular)
         g = random_regular(n, r, args.seed)
     else:
         raise ValueError("pass one of --graph and --regular")
-    if getattr(args, "lcc", False):
+    if args.lcc:
         before = g.n
         g = largest_connected_component(g)
         if g.n != before:

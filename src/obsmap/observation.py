@@ -64,12 +64,17 @@ class Groups:
     """The partition of matrix rows into groups of equal rows.
 
     Groups are numbered in order of first appearance: ids[v] is the group of
-    row v, first[i] the smallest row in group i, and sizes[i] its size.
+    row v, first[i] the smallest row in group i, and sizes[i] its size. The
+    arrays are made read-only, since one Groups can be shared by many tables.
     """
 
     ids: np.ndarray
     first: np.ndarray
     sizes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.ids, self.first, self.sizes):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
         return self.sizes.size
@@ -301,24 +306,13 @@ def refine_observation(stage: AnchorStage, codes: QuantizedCodes) -> Observation
         raise ValueError(
             f"code table has {codes.n} rows for a graph with {stage.n} vertices"
         )
-    buckets = stage.bucket_groups
-    classes = codes.groups
-    # Groups are numbered by first appearance, so a partition has one Groups
-    # whatever matrix produced it: when one side cannot split the other, the
-    # fibers are the other side's groups.
-    if len(classes) == 1 or len(buckets) == stage.n:
-        fibers = buckets
-    elif len(buckets) == 1 or len(classes) == stage.n:
-        fibers = classes
-    else:
-        fibers = _group_rows(np.column_stack([buckets.ids, classes.ids]))
     return ObservationTable(
         n=stage.n,
         profile_matrix=stage.profile_matrix,
         code_matrix=codes.codes,
-        fiber_groups=fibers,
-        bucket_groups=buckets,
-        class_groups=classes,
+        fiber_groups=_group_rows(np.column_stack([stage.bucket_groups.ids, codes.groups.ids])),
+        bucket_groups=stage.bucket_groups,
+        class_groups=codes.groups,
     )
 
 

@@ -236,33 +236,23 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
 
 def _shifted(a: sp.csr_matrix, values: np.ndarray, shift: float) -> sp.csr_matrix:
     """shift * I plus the matrix with the pattern of the square CSR a, whose
-    rows hold sorted, distinct columns, and the given values, which are
-    updated in place. Built from the arrays as scipy's sparse sum builds
-    it, at a fraction of its cost: a diagonal entry is value + shift, or
-    shift where a's row has none; every other entry is its value; zero sums
-    are dropped.
+    rows hold sorted, distinct columns, and the given values, bit for bit
+    as scipy's sparse sum, zero sums dropped. The values are updated in
+    place only when every diagonal entry is stored, as in every filter on a
+    normalized Laplacian; otherwise scipy's triplet conversion adds each
+    shift to its stored entry and inserts the missing ones.
     """
     n = a.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    ids = np.arange(n)
+    rows = np.repeat(ids, np.diff(a.indptr))
     diagonal = np.flatnonzero(a.indices == rows)
-    values[diagonal] += shift
     if diagonal.size == n:
+        values[diagonal] += shift
         out = sp.csr_matrix((values, a.indices.copy(), a.indptr.copy()), shape=(n, n))
     else:
-        missing = np.ones(n, dtype=bool)
-        missing[a.indices[diagonal]] = False
-        absent = np.flatnonzero(missing)
-        indptr = a.indptr + np.concatenate(([0], np.cumsum(missing)))
-        # A row's inserted diagonal follows its entries left of the diagonal.
-        at = indptr[absent] + np.bincount(rows[a.indices < rows], minlength=n)[absent]
-        kept = np.ones(indptr[-1], dtype=bool)
-        kept[at] = False
-        indices = np.empty(indptr[-1], dtype=a.indices.dtype)
-        indices[kept] = a.indices
-        indices[at] = absent
-        merged = np.full(indptr[-1], shift)
-        merged[kept] = values
-        out = sp.csr_matrix((merged, indices, indptr), shape=(n, n))
+        out = sp.csr_matrix((np.concatenate((values, np.full(n, shift))),
+                             (np.concatenate((rows, ids)), np.concatenate((a.indices, ids)))),
+                            shape=(n, n))
     out.eliminate_zeros()
     return out
 

@@ -817,8 +817,9 @@ class TestGroupingKernel:
 @st.composite
 def stages_and_code_tables(draw):
     """An anchor stage and a code table of one size. Each side is drawn
-    from shapes that trigger or avoid the refinement's shortcuts: every
-    vertex its own bucket or code, one bucket or one code, or random rows."""
+    from the shapes where one side cannot split the other and from random
+    ones: every vertex its own bucket or code, one bucket or one code, or
+    random rows."""
     n = draw(st.integers(1, 60))
     seed = draw(st.integers(0, 10**6))
     rng = np.random.default_rng(seed)
@@ -840,16 +841,45 @@ def stages_and_code_tables(draw):
     return anchor_stage(profile.astype(np.int64)), codes
 
 
+def assert_same_groups(got, want):
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.first.tolist() == want.first.tolist()
+    assert got.sizes.tolist() == want.sizes.tolist()
+
+
+def distinct_codes(n):
+    return codes_from_rows(np.random.default_rng(5).permutation(n).reshape(n, 1).tolist())
+
+
+# Stages and code tables where one side cannot split the other.
+UNSPLIT_CASES = {
+    "one code class": (lambda n: np.arange(n).reshape(n, 1) % 5, no_codes),
+    "one bucket": (lambda n: np.zeros((n, 0)), lambda n: synthetic_codes(3, n, 2, "narrow")),
+    "singleton buckets": (lambda n: np.arange(n).reshape(n, 1),
+                          lambda n: synthetic_codes(3, n, 2, "narrow")),
+    "distinct code rows": (lambda n: np.arange(n).reshape(n, 1) % 5, distinct_codes),
+}
+
+
 class TestRefinementStage:
     @given(stages_and_code_tables())
     @settings(max_examples=200, deadline=None)
     def test_fibers_equal_grouping_bucket_ids_beside_code_rows(self, drawn):
         stage, codes = drawn
-        fibers = refine_observation(stage, codes).fiber_groups
-        want = _group_rows(np.column_stack([stage.bucket_groups.ids, codes.codes]))
-        assert fibers.ids.tolist() == want.ids.tolist()
-        assert fibers.first.tolist() == want.first.tolist()
-        assert fibers.sizes.tolist() == want.sizes.tolist()
+        assert_same_groups(refine_observation(stage, codes).fiber_groups,
+                           _group_rows(np.column_stack([stage.bucket_groups.ids, codes.codes])))
+
+    @pytest.mark.parametrize("case", list(UNSPLIT_CASES))
+    def test_unsplit_sides_are_grouped_like_any_other(self, case):
+        profiles, code_table = UNSPLIT_CASES[case]
+        stage, codes = anchor_stage(profiles(40).astype(np.int64)), code_table(40)
+        table = refine_observation(stage, codes)
+        assert_same_groups(table.fiber_groups,
+                           _group_rows(np.column_stack([stage.bucket_groups.ids, codes.codes])))
+        assert fiber_stats(table) == evaluate_rows([(stage, codes.groups)])[0][0]
+        assert section_success(table) == fiber_stats(table).success
+        assert table.fiber_groups is not codes.groups
+        assert table.fiber_groups is not stage.bucket_groups
 
     def test_code_table_is_grouped_once(self):
         codes = synthetic_codes(3, 40, 2, "narrow")
@@ -858,8 +888,19 @@ class TestRefinementStage:
         assert codebook_size(codes) == len(codes.groups)
         # Every bucket a singleton: the buckets are the fibers.
         singletons = anchor_stage(np.arange(40, dtype=np.int64).reshape(40, 1))
-        assert refine_observation(singletons, codes).fiber_groups is singletons.bucket_groups
-        assert refine_observation(stage, no_codes(40)).fiber_groups is stage.bucket_groups
+        assert_same_groups(refine_observation(singletons, codes).fiber_groups,
+                           singletons.bucket_groups)
+        assert_same_groups(refine_observation(stage, no_codes(40)).fiber_groups,
+                           stage.bucket_groups)
+
+    def test_groups_are_read_only(self):
+        codes = synthetic_codes(3, 40, 2, "narrow")
+        stage = anchor_stage(np.arange(40, dtype=np.int64).reshape(40, 1) % 5)
+        table = refine_observation(stage, codes)
+        for array in (codes.groups.ids, table.fiber_groups.first, stage.bucket_groups.sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+        assert min_id_section(table).flags.writeable
 
 
 class TestSequentialSum:

@@ -138,6 +138,33 @@ def assert_same_csr(got, want) -> None:
     assert got.data.tobytes() == want.data.tobytes()
 
 
+@st.composite
+def shifted_operands(draw):
+    """A canonical CSR square matrix and a shift. Rows may be empty, the
+    diagonal is stored nowhere, somewhere or everywhere, and some stored
+    diagonal entries are -shift, so that their sum is zero."""
+    n = draw(st.integers(0, 30))
+    shift = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = rng.random((n, n)) < draw(st.sampled_from((0.0, 0.2, 0.6)))
+    diagonal = draw(st.sampled_from(("none", "some", "all")))
+    np.fill_diagonal(stored, {"none": False, "some": rng.random(n) < 0.5, "all": True}[diagonal])
+    values = rng.normal(size=(n, n))
+    np.fill_diagonal(values, np.where(rng.random(n) < 0.3, -shift, values.diagonal()))
+    a = sp.csr_matrix((values[stored], np.nonzero(stored)), shape=(n, n))
+    assert a.has_canonical_format
+    return a, shift
+
+
+@given(shifted_operands())
+@settings(max_examples=200, deadline=None)
+def test_shifted_equals_sparse_sum(drawn):
+    a, shift = drawn
+    got = spectral._shifted(a, a.data.copy(), shift)
+    assert got.has_canonical_format
+    assert_same_csr(got, sp.csr_matrix(shift * sp.identity(a.shape[0], format="csr") + a))
+
+
 class TestOperatorsFromArrays:
     """normalized_laplacian and the filter's 2S, built from CSR arrays,
     equal the sparse algebra they replace bit for bit."""
