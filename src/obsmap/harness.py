@@ -25,7 +25,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .graphs import (
-    AnchorSet, Graph, _bfs, _check_regular, anchor_profile, bfs_distances, random_regular,
+    _WORD_BITS, AnchorSet, Graph, _bfs, _check_regular, anchor_profile, bfs_distances,
+    random_regular,
 )
 from .observation import (
     AnchorStage,
@@ -123,12 +124,6 @@ _AGGREGATED_METRICS = (
 # n, where rows padded and sorted together cost more than they save.
 _BATCH_VERTEX_ROWS = 1 << 14
 
-# Distinct anchors one joint search covers at most. _GraphCodes holds one
-# search's distances, n x this many small unsigned integers (384 KB at
-# n = 6000 while they fit a byte); more anchors per search would not make
-# each cheaper, since a level pass packs 64 sources to a word.
-_JOINT_SEARCH_ANCHORS = 64
-
 
 def mix64(*parts: object) -> int:
     """Stable 64-bit mix of heterogeneous parts (order-sensitive)."""
@@ -158,10 +153,10 @@ def _eta(text: str) -> str:
         value = float(text)
     except ValueError as exc:
         raise ValueError(f"eta {text!r} is not a decimal number") from exc
-    if not value > 0:
-        raise ValueError(f"eta must be positive, got {text!r}")
     if not math.isfinite(value):
         raise ValueError(f"eta must be finite, got {text!r}")
+    if not value > 0:
+        raise ValueError(f"eta must be positive, got {text!r}")
     return text
 
 
@@ -390,7 +385,8 @@ class InstanceReport:
 
 
 def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
-    """Draw k anchors by the named strategy.
+    """Draw k anchors by the named strategy; k = 0 gives the empty set
+    under every strategy.
 
     random: uniform without replacement, in draw order. degree: top-k by
     degree, ties to the smaller id. farthest: first anchor uniform by seed,
@@ -410,21 +406,12 @@ def select_anchors(g: Graph, k: int, strategy: str, seed: int) -> AnchorSet:
     if strategy == "random":
         picks = np.random.default_rng(seed).choice(g.n, size=k, replace=False)
         return AnchorSet(tuple(int(v) for v in picks))
-    return _farthest(g, k, seed)[0]
-
-
-def _farthest(g: Graph, k: int, seed: int) -> tuple[AnchorSet, np.ndarray]:
-    """The farthest strategy's k >= 1 anchors and their (n, k) distance
-    profile, whose columns are the searches that chose the anchors."""
     chosen = [int(np.random.default_rng(seed).integers(g.n))]
-    columns = [bfs_distances(g, chosen[0])]
-    min_dist = columns[0]
+    min_dist = bfs_distances(g, chosen[0])
     while len(chosen) < k:
-        nxt = int(np.argmax(min_dist))  # first max: smallest id wins ties
-        chosen.append(nxt)
-        columns.append(bfs_distances(g, nxt))
-        min_dist = np.minimum(min_dist, columns[-1])
-    return AnchorSet(tuple(chosen)), np.column_stack(columns)
+        chosen.append(int(np.argmax(min_dist)))  # first max: smallest id wins ties
+        np.minimum(min_dist, bfs_distances(g, chosen[-1]), out=min_dist)
+    return AnchorSet(tuple(chosen))
 
 
 class _GraphCodes:
@@ -471,11 +458,12 @@ class _GraphCodes:
     ) -> Iterator[InstanceReport | Exception]:
         """Each point's InstanceReport, or the exception that failed it, in
         points' order: its code table refining its anchor stage, drawn from
-        anchor_seed_for(seed, ...). Random and degree sets are drawn once,
-        in order of first use; one _bfs call searches the distinct anchors
-        of consecutive sets, up to _JOINT_SEARCH_ANCHORS, and when it fails
-        each of its sets searches alone, failing with its own message.
-        Farthest sets take their columns from _farthest. Each stage is built
+        anchor_seed_for(seed, ...). Every anchor set, empty ones included,
+        is drawn once by select_anchors, in order of first use; one _bfs
+        call searches the distinct anchors of consecutive sets, up to
+        _WORD_BITS, and each stage takes its own set's columns. A failed
+        draw is its set's failure; when a search fails, each of its sets
+        searches alone, failing with its own message. Each stage is built
         once for the consecutive rows sharing it, after the row's code
         table; a row whose table failed builds no stage and yields the
         table's failure. A failed table or stage is yielded, never raised,
@@ -512,11 +500,9 @@ class _GraphCodes:
                 batch = []
         yield from _evaluated(batch)
 
-    def _draw(self, k: int, strategy: str, seed: int) -> AnchorSet | Exception | None:
-        """A random or degree anchor set, or the exception that failed its
-        draw; None where the stage draws (k = 0, farthest)."""
-        if k == 0 or strategy == "farthest":
-            return None
+    def _draw(self, k: int, strategy: str, seed: int) -> AnchorSet | Exception:
+        """The anchor set of (k, strategy, seed), or the exception that
+        failed its draw."""
         try:
             return select_anchors(self.g, k, strategy, seed)
         except Exception as exc:
@@ -525,15 +511,10 @@ class _GraphCodes:
     def _build_stage(self, key: tuple, drawn: dict, chunk: dict) -> AnchorStage | Exception:
         """key's anchor stage, or the exception that failed it; chunk holds
         the last joint search and is replaced when it misses key's set."""
-        k, strategy, seed = key
         anchors = drawn[key]
+        if isinstance(anchors, Exception):
+            return anchors
         try:
-            if isinstance(anchors, Exception):
-                return anchors
-            if k == 0:
-                return anchor_stage(anchor_profile(self.g, AnchorSet(())))
-            if strategy == "farthest":  # k and strategy come from a checked ConfigPoint
-                return anchor_stage(_farthest(self.g, k, seed)[1])
             if key not in chunk:
                 chunk.clear()  # release the old distances before searching
                 chunk.update(self._search_from(key, drawn))
@@ -546,21 +527,22 @@ class _GraphCodes:
 
     def _search_from(self, key: tuple, drawn: dict) -> dict:
         """The drawn sets from key's on whose distinct anchors, at most
-        _JOINT_SEARCH_ANCHORS (or key's set), one _bfs call searches: each
-        maps to the distances and its columns, or to None if it failed."""
+        _WORD_BITS (or key's set), one _bfs call searches: each maps to the
+        distances and its columns, or to None if the search failed."""
         keys = list(drawn)
         sources: dict[int, int] = {}  # anchor -> column
         members = {}
         for later in keys[keys.index(key):]:
             anchors = drawn[later]
-            if not isinstance(anchors, AnchorSet):  # a failed or stage-drawn set
+            if isinstance(anchors, Exception):
                 continue
             fresh = [a for a in anchors.anchors if a not in sources]
-            if members and len(sources) + len(fresh) > _JOINT_SEARCH_ANCHORS:
+            # More sources per call would hold more distances and make no search cheaper.
+            if members and len(sources) + len(fresh) > _WORD_BITS:
                 break
             for a in fresh:
                 sources[a] = len(sources)
-            members[later] = np.array([sources[a] for a in anchors.anchors])
+            members[later] = np.array([sources[a] for a in anchors.anchors], dtype=np.intp)
         try:
             distances = _bfs(self.g, list(sources))
         except Exception:
@@ -777,7 +759,8 @@ def run_sweep(
 def _match_eta(cfg: SweepConfig, eta: str | float) -> str:
     if eta in cfg.eta_list:
         return eta  # type: ignore[return-value]
-    candidates = [e for e in cfg.eta_list if float(e) == float(eta)]
+    value = float(_eta(str(eta)))
+    candidates = [e for e in cfg.eta_list if float(e) == value]
     if not candidates:
         raise ValueError(f"eta {eta!r} not in the sweep grid")
     return candidates[0]

@@ -323,10 +323,20 @@ class TestSweepConfigValidation:
             SweepConfig(n_list=(10,), k_list=(1,), m_list=(10,), eta_list=("0.1",))
 
     def test_bad_eta_rejected(self):
-        with pytest.raises(ValueError):
-            SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("zero",))
-        with pytest.raises(ValueError):
-            SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("-1",))
+        for eta, message in (
+            ("zero", "eta 'zero' is not a decimal number"),
+            ("-1", "eta must be positive, got '-1'"),
+            ("0", "eta must be positive, got '0'"),
+            ("nan", "eta must be finite, got 'nan'"),
+            ("inf", "eta must be finite, got 'inf'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=(eta,))
+            assert str(info.value) == message
+        cfg = SweepConfig(n_list=(10,), k_list=(1,), m_list=(0,), eta_list=("0.5",))
+        with pytest.raises(ValueError) as info:
+            k_emp(harness.SweepResult(config=cfg, records=()), 10, 0, eta="abc")
+        assert str(info.value) == "eta 'abc' is not a decimal number"
 
     def test_bare_string_axis_rejected(self):
         # A string is not split into one-character values.
@@ -709,7 +719,7 @@ class TestAnchorStagePerAnchorSet:
 
     def drawn_sets(self, cfg: SweepConfig, trial: int) -> list[tuple[int, ...]]:
         """The anchor sets with k > 0 of one trial's graph, in the order
-        the sweep evaluates them: by k, then by resample."""
+        the sweep draws them: by k, then by resample."""
         strategy = cfg.anchor_strategy_list[0]
         gseed = graph_seed_for(cfg.seed, 60, 3, trial)
         g = random_regular(60, 3, gseed)
@@ -720,25 +730,22 @@ class TestAnchorStagePerAnchorSet:
 
     def expected_searches(self, cfg: SweepConfig) -> list[tuple[str, tuple[int, ...]]]:
         """Every search call of the sweep, in order, with the sources it
-        gets: per trial, the k = 0 stages' empty searches, then either one
-        joint search of the distinct anchors of the random or degree sets
-        (they fit one 64-bit word) or the farthest draw's one search per
-        chosen anchor."""
+        gets: per trial, the farthest draws' one search per chosen anchor,
+        then one joint search of the distinct anchors of every set (they
+        fit one 64-bit word; the empty k = 0 sets add none)."""
         calls = []
         for trial in range(cfg.trials):
             sets = self.drawn_sets(cfg, trial)
-            calls += [("alone", ())] * cfg.anchor_resamples
             if cfg.anchor_strategy_list[0] == "farthest":
                 calls += [("alone", (a,)) for anchors in sets for a in anchors]
-            else:
-                calls.append(("joint", tuple(dict.fromkeys(a for s in sets for a in s))))
+            calls.append(("joint", tuple(dict.fromkeys(a for s in sets for a in s))))
         return calls
 
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
     def test_one_stage_per_anchor_set_one_codebook_per_table(self, monkeypatch, strategy):
         expected = self.expected_searches(self.config(strategy))
         computed = count_computations(monkeypatch)
-        counts = dict.fromkeys(("select_anchors", "_farthest", "anchor_profile"), 0)
+        counts = dict.fromkeys(("select_anchors", "anchor_profile"), 0)
         for attr in counts:
             fn = getattr(harness, attr)
 
@@ -764,15 +771,10 @@ class TestAnchorStagePerAnchorSet:
         assert computed == {"batches": [len(res.records) // 2] * 2,
                             "groupings": len(code_tables)}
         assert len(code_tables) == 2 * 3 * 2
-        if strategy == "farthest":
-            # the searches that chose the anchors are the profile
-            assert counts["_farthest"] == len(anchor_sets) == 2 * 2 * 3
-            assert counts["select_anchors"] == 0
-        else:
-            # each set is drawn once; its anchors are searched jointly
-            assert counts["select_anchors"] == len(anchor_sets) == 2 * 2 * 3
-            assert counts["_farthest"] == 0
-        assert counts["anchor_profile"] == stages - len(anchor_sets)
+        # Every set, empty ones included, is drawn once, and every stage's
+        # profile comes from its trial's joint search.
+        assert counts["select_anchors"] == stages == 2 * 3 * 3
+        assert counts["anchor_profile"] == 0
         assert searched == expected
 
     def test_failed_stage_gives_every_dependent_row_the_same_failure(self, monkeypatch):
@@ -814,24 +816,30 @@ class TestAnchorStagePerAnchorSet:
 
 
 class TestJointAnchorSearch:
-    """_GraphCodes.rows searches the anchors of its random and degree sets
-    jointly, 64 distinct anchors at a time; each stage must still be the
-    profile of its own set."""
+    """_GraphCodes.rows searches the anchors of its sets jointly, 64
+    distinct anchors at a time; each stage must still be the profile of its
+    own set."""
 
     @staticmethod
-    def stage_profiles(g, points, seed) -> list[np.ndarray]:
-        """The profile of each anchor stage that rows builds, in order."""
-        profiles = []
+    def stage_profiles(g, points, seed) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+        """The profile of each anchor stage that rows builds, in order, and
+        the sources of each joint search."""
+        profiles, searches = [], []
 
         def recording(profile, _real=harness.anchor_stage):
             profiles.append(profile)
             return _real(profile)
 
+        def searching(g, sources, _real=harness._bfs):
+            searches.append(tuple(int(s) for s in sources))
+            return _real(g, sources)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "anchor_stage", recording)
+            mp.setattr(harness, "_bfs", searching)
             reports = list(harness._GraphCodes(g, 0).rows(points, seed))
         assert not [r for r in reports if isinstance(r, Exception)]
-        return profiles
+        return profiles, searches
 
     @staticmethod
     def two_cycles() -> graphs.Graph:
@@ -839,8 +847,8 @@ class TestJointAnchorSearch:
         return graphs.graph_from_edges(40, cycle + [(u + 20, v + 20) for u, v in cycle])
 
     @given(
-        st.integers(10, 60), st.sampled_from(("random", "degree")),
-        st.lists(st.integers(1, 80), min_size=1, max_size=5), st.integers(1, 5),
+        st.integers(10, 60), st.sampled_from(harness.STRATEGIES),
+        st.lists(st.integers(0, 80), min_size=1, max_size=5), st.integers(1, 5),
         st.integers(0, 10**6),
     )
     @settings(max_examples=40, deadline=None)
@@ -854,33 +862,41 @@ class TestJointAnchorSearch:
         # The whole list, a suffix and the list backwards, so searches also
         # start mid-list; consecutive rows of one set share its stage.
         for rows in (points, points[len(points) // 2:], points[::-1]):
-            expected = [
-                graphs.anchor_profile(g, select_anchors(
-                    g, k, strategy, anchor_seed_for(seed, k, strategy, i)))
+            sets = [
+                select_anchors(g, k, strategy, anchor_seed_for(seed, k, strategy, i))
                 for (k, i), _ in itertools.groupby(rows, lambda p: (p.k, p.resample))
             ]
-            profiles = self.stage_profiles(g, rows, seed)
+            profiles, searches = self.stage_profiles(g, rows, seed)
             assert all(profile.dtype == np.int64 for profile in profiles)
-            assert len(profiles) == len(expected)
-            assert all(map(np.array_equal, profiles, expected))
+            assert len(profiles) == len(sets)
+            assert all(map(np.array_equal, profiles,
+                           (graphs.anchor_profile(g, anchors) for anchors in sets)))
+            # A search covers at most one word of sources, or one set alone.
+            alone = {anchors.anchors for anchors in sets}
+            assert all(len(s) <= graphs._WORD_BITS or s in alone for s in searches)
 
-    def test_disconnected_graph_fails_each_set_with_its_own_message(self):
+    @pytest.mark.parametrize("strategy", ("random", "farthest"))
+    def test_disconnected_graph_fails_each_set_with_its_own_message(self, strategy):
         g = self.two_cycles()
         points = [
-            ConfigPoint(40, None, k, 0, "0.5", "absolute", True, "full", "random", 0, i)
-            for k in (1, 4, 9) for i in range(4)
+            ConfigPoint(40, None, k, 0, "0.5", "absolute", True, "full", strategy, 0, i)
+            for k in (0, 1, 4, 9) for i in range(4)
         ]
-        failures = list(harness._GraphCodes(g, 0).rows(points, 7))
-        assert len(failures) == len(points)
+        reports = list(harness._GraphCodes(g, 0).rows(points, 7))
+        assert len(reports) == len(points)
         messages = set()
-        for p, failure in zip(points, failures):
-            aseed = anchor_seed_for(7, p.k, "random", p.resample)
-            first = select_anchors(g, p.k, "random", aseed).anchors[0]
+        for p, report in zip(points, reports):
+            if p.k == 0:  # the empty set searches nothing
+                assert isinstance(report, harness.InstanceReport)
+                continue
+            aseed = anchor_seed_for(7, p.k, strategy, p.resample)
+            first = (select_anchors(g, p.k, strategy, aseed).anchors[0] if strategy == "random"
+                     else int(np.random.default_rng(aseed).integers(g.n)))
             # The set's first anchor misses the other cycle, from its smallest vertex on.
             message = f"vertex {0 if first >= 20 else 20} unreachable from source {first}"
             messages.add(message)
-            assert isinstance(failure, graphs.ConnectivityError)
-            assert str(failure) == message
+            assert isinstance(report, graphs.ConnectivityError)
+            assert str(report) == message
         assert len(messages) > 1
 
     def test_failed_set_yields_one_exception_whose_traceback_does_not_grow(self):
